@@ -8,13 +8,14 @@ table, disconnected graph), 3 invalid input.
 """
 
 import argparse
+import contextlib
 import io
 import json
 import sys
 
 from .conjugacy import cyclotomic_numbers
 from .crossjoin import fryers_coefficients, fryers_total, random_crossjoin
-from .cycles import CycleCtx
+from .cycles import CycleCtx, check_t
 from .gf2poly import (
     degree,
     is_debruijn,
@@ -74,9 +75,7 @@ def cmd_zech(args):
 
 
 def _build_ctx(args, p, t):
-    n = degree(p)
-    if t < 1 or ((1 << n) - 1) % t:
-        raise ValueError(f"t = {t} does not divide 2^{n} - 1")
+    check_t(degree(p), t)
     mode = args.mode if hasattr(args, "mode") else "auto"
     table = build_zech_table(p, mode=mode)
     return CycleCtx(p, t, zech=table)
@@ -223,20 +222,38 @@ def cmd_crossjoin(args):
     return EXIT_OK
 
 
+@contextlib.contextmanager
+def _int_str_unlimited():
+    """Lift the interpreter's int-to-str digit limit (Python >= 3.11) for
+    the duration; from order 15 on the exact counts exceed 4300 digits."""
+    set_limit = getattr(sys, "set_int_max_str_digits", None)
+    if set_limit is None:
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    set_limit(0)
+    try:
+        yield
+    finally:
+        set_limit(old)
+
+
 def cmd_fryers(args):
     rows = [(k, c) for k, c in fryers_coefficients(args.n)]
     total = fryers_total(args.n, verify=args.n <= 12)
-    if args.format == "json":
-        payload = {
-            "n": args.n,
-            "coefficients": {str(k): str(c) for k, c in rows},
-            "total": str(total),
-        }
-        _emit(args, json.dumps(payload, sort_keys=True) + "\n")
-    else:
-        lines = [f"N({args.n};{k}) = {c}" for k, c in rows]
-        lines.append(f"total = {total}")
-        _emit(args, "\n".join(lines) + "\n")
+    with _int_str_unlimited():
+        if args.format == "json":
+            payload = {
+                "n": args.n,
+                "coefficients": {str(k): str(c) for k, c in rows},
+                "total": str(total),
+            }
+            text = json.dumps(payload, sort_keys=True) + "\n"
+        else:
+            lines = [f"N({args.n};{k}) = {c}" for k, c in rows]
+            lines.append(f"total = {total}")
+            text = "\n".join(lines) + "\n"
+    _emit(args, text)
     return EXIT_OK
 
 

@@ -194,6 +194,8 @@ def fryers_coefficient(n, k):
 
 def fryers_coefficients(n):
     """Yield (k, coefficient) for odd k, by incremental binomial ratios."""
+    if n < 2:
+        raise ValueError("order must be at least 2")
     half = 1 << (n - 1)
     comb = half  # binom(half, 1)
     for k in range(1, half, 2):

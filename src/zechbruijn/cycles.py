@@ -56,6 +56,19 @@ def u0_seed_state(p, t):
     return v
 
 
+def check_t(n, t):
+    """Reject a t that does not split the order-n LFSR into t cycles.
+
+    t must divide 2^n - 1 and lie in [1, 2^n - 2]; at n = 1, where
+    2^n - 1 = 1, t = 1 is the one cycle structure [0] u [1].
+    """
+    M = (1 << n) - 1
+    if not (1 <= t <= max(M - 1, 1)) or M % t:
+        raise ValueError(
+            f"t = {t} must divide 2^{n} - 1 and lie in [1, 2^{n} - 2] for n = {n}"
+        )
+
+
 class CycleCtx:
     """Decimation context tying p, f = associated_irreducible(p, t), and t.
 
@@ -66,8 +79,7 @@ class CycleCtx:
     def __init__(self, p, t, zech=None, f=None):
         n = degree(p)
         M = (1 << n) - 1
-        if t < 1 or M % t:
-            raise ValueError(f"t = {t} does not divide 2^{n} - 1")
+        check_t(n, t)
         if f is None:
             if M == 1:
                 f = p  # degree 1: the only cycle structure is [0] u [1]

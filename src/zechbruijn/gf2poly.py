@@ -275,17 +275,12 @@ def associated_irreducible(p, t):
     t %= M
     if t == 0:
         raise ValueError("t must be nonzero modulo 2^n - 1")
-    need = 2 * n
-    if t * (need - 1) < (1 << 22):
-        bits = lfsr_bits(p, 1, t * (need - 1) + 1)
-        window = [bits[t * i] for i in range(need)]
-    else:
-        xt = poly_powmod(2, t, p)
-        c = 1
-        window = []
-        for _ in range(need):
-            window.append(c & 1)
-            c = poly_mod(poly_mul(c, xt), p)
+    xt = poly_powmod(2, t, p)
+    c = 1
+    window = []
+    for _ in range(2 * n):
+        window.append(c & 1)
+        c = poly_mod(poly_mul(c, xt), p)
     f = berlekamp_massey(window)
     return f, degree(f) == n
 

@@ -14,6 +14,7 @@ import random
 from dataclasses import dataclass, field
 
 from .conjugacy import pairs_from_coset
+from .cycles import check_t
 from .gf2poly import degree, poly_to_set_notation
 from .zech import build_zech_table, coset_leader
 
@@ -255,7 +256,16 @@ def connected_subgraph(ctx, budget=None):
 @dataclass
 class TreeCert:
     """Certificate for a star (center u_0) or almost-star (center u_ell)
-    spanning-tree family, with the exact count as a matrix determinant."""
+    spanning-tree family.
+
+    `dbseqs` is cp^(t-1), with cp = n // |final witness orbit mod t|. The
+    certificate graph is a star (or almost-star) on [0], u_0, ...,
+    u_(t-1) whose edges other than [0]-u_0 come in cp parallel copies,
+    so by the matrix-tree theorem this is the determinant of its t x t
+    reduced Laplacian. When t is composite the witness orbits can differ
+    in size, and then cp^(t-1) is not the tree count of the subgraph the
+    witnesses span.
+    """
     n: int
     p: int
     t: int
@@ -264,7 +274,6 @@ class TreeCert:
     witness: list = field(default_factory=list)
     delta: list = field(default_factory=list)
     cp: int | None = None
-    matrix: list | None = None
     dbseqs: int | None = None
     log2: float | None = None
     found: bool = False
@@ -329,33 +338,13 @@ def _certify_walk(p, f, t, resolve, center, z_max):
             cert.witness = witness
             cert.delta = delta
             cert.cp = cp
-            cert.matrix = _cert_matrix(t, center, cp)
-            cert.dbseqs = bareiss_determinant(cert.matrix)
+            cert.dbseqs = cp ** (t - 1)
             cert.log2 = log2_int(cert.dbseqs)
             cert.found = True
             return cert
     cert.witness = witness
     cert.delta = delta
     return cert
-
-
-def _cert_matrix(t, center, cp):
-    """The t x t certificate matrix (vertex [0] already removed)."""
-    m = [[0] * t for _ in range(t)]
-    if center == 0:
-        m[0][0] = cp * (t - 1) + 1
-        for r in range(1, t):
-            m[r][r] = cp
-            m[0][r] = m[r][0] = -cp
-    else:
-        ell = center
-        m[0][0] = 1 + cp
-        m[0][ell] = m[ell][0] = -cp
-        for r in range(1, t):
-            m[r][r] = cp
-            m[ell][r] = m[r][ell] = -cp
-        m[ell][ell] = cp * (t - 1)
-    return m
 
 
 def certify_star(p, t_max=2000, z_max=2000, zech=None, ts=None):
@@ -387,12 +376,9 @@ def certify_almost_star(p, t, ell, z_max=2000, zech=None):
     """Almost-star certificate centered at u_ell (E_0 hung off u_0)."""
     from .gf2poly import associated_irreducible
 
-    n = degree(p)
-    M = (1 << n) - 1
     if not 1 <= ell <= t - 1:
         raise ValueError("center index must lie in [1, t-1]")
-    if M % t:
-        raise ValueError(f"t = {t} does not divide 2^{n} - 1")
+    check_t(degree(p), t)
     f, valid = associated_irreducible(p, t)
     if not valid:
         raise ValueError(f"t = {t} is not valid for this polynomial")

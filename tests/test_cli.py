@@ -1,4 +1,5 @@
 import json
+import sys
 
 from zechbruijn import ZechTable, is_debruijn, seq_from_hex
 from zechbruijn.cli import main
@@ -75,6 +76,12 @@ def test_debruijn_rejects_invalid_t(capsys):
     assert main(["debruijn", "--p", "n=10;{3}", "--t", "33"]) == 3
 
 
+def test_debruijn_rejects_t_equal_to_period(capsys):
+    code, _out, err = run(capsys, "debruijn", "--p", "n=5;{2}", "--t", "31")
+    assert code == 3
+    assert err == "error: t = 31 must divide 2^5 - 1 and lie in [1, 2^5 - 2] for n = 5\n"
+
+
 def test_debruijn_dot_output(capsys):
     code, out, _err = run(capsys, "debruijn", "--p", "n=4;{1}", "--t", "3",
                           "--format", "dot")
@@ -125,6 +132,29 @@ def test_fryers_output(capsys):
     assert [payload["coefficients"][str(k)] for k in (1, 3, 5, 7, 9, 11, 13, 15)] \
         == ["1", "35", "273", "715", "715", "273", "35", "1"]
     assert payload["total"] == "2048"
+
+
+def test_fryers_rejects_order_below_two(capsys):
+    code, out, err = run(capsys, "fryers", "--n", "0")
+    assert code == 3
+    assert out == "" and err == "error: order must be at least 2\n"
+
+
+def test_fryers_order15_exceeds_int_str_limit(capsys):
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    before = get_limit() if get_limit else None
+    code, out, _err = run(capsys, "fryers", "--n", "15", "--format", "json")
+    assert code == 0
+    if get_limit is None:
+        expected = str(2 ** (2 ** 14 - 15))
+    else:
+        assert get_limit() == before    # the limit is restored
+        sys.set_int_max_str_digits(0)
+        try:
+            expected = str(2 ** (2 ** 14 - 15))
+        finally:
+            sys.set_int_max_str_digits(before)
+    assert json.loads(out)["total"] == expected
 
 
 def test_cyclotomic_matrix(capsys):

@@ -57,6 +57,9 @@ def test_ctx_rejects_invalid_t():
         CycleCtx(P4, 5)     # associated polynomial drops to degree 2
     with pytest.raises(ValueError):
         CycleCtx(P4, 7)     # 7 does not divide 15
+    with pytest.raises(ValueError, match="lie in"):
+        CycleCtx(P4, 15)    # alpha^(2^n - 1) = 1: no degree-n cycle structure
+    assert CycleCtx(0b11, 1).e == 1     # degree 1: [0] u [1]
 
 
 def test_exponent_to_state_full_table(ctx4):

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -139,6 +140,35 @@ def test_associated_irreducible_divides_whole_group():
         f, _ = g.associated_irreducible(P4, t)
         assert g.poly_powmod(2, 15, f) == 1
         assert 4 % g.degree(f) == 0
+
+
+def _clocked_associated_poly(p, t):
+    """Reference: clock the m-sequence of p from state 1 far enough to
+    t-decimate 2n bits, and feed those to Berlekamp-Massey."""
+    n = g.degree(p)
+    bits = g.lfsr_bits(p, 1, t * (2 * n - 1) + 1)
+    return g.berlekamp_massey(g.decimate(bits, t)[:2 * n])
+
+
+def test_associated_irreducible_matches_clocked_decimation():
+    from zechbruijn.cycles import primitive_polynomials
+
+    for n in range(4, 13):
+        M = (1 << n) - 1
+        for p in itertools.islice(primitive_polynomials(n), 3):
+            for t in range(1, M):
+                if M % t == 0:
+                    f, _ = g.associated_irreducible(p, t)
+                    assert f == _clocked_associated_poly(p, t), (n, p, t)
+
+
+def test_associated_irreducible_subfield_lift_order28():
+    # the n = 28 table build asks for the degree-14 subfield polynomial
+    p = g.poly_from_set_notation("n=28;{3}")
+    r = ((1 << 28) - 1) // ((1 << 14) - 1)
+    assert r == 16385
+    assert g.associated_irreducible(p, r) == (28639, False)
+    assert _clocked_associated_poly(p, r) == 28639
 
 
 def test_insert_zero():

@@ -177,6 +177,45 @@ def test_certify_almost_star_row5(zech20):
     assert abs(cert.log2 - 881.6733) < 0.001
 
 
+def _cert_matrix(t, center, cp):
+    """The t x t certificate matrix: the reduced Laplacian, vertex [0]
+    removed, of the star (center 0) or almost-star (center ell) graph
+    with cp parallel edges at every nonzero cycle but the center."""
+    m = [[0] * t for _ in range(t)]
+    if center == 0:
+        m[0][0] = cp * (t - 1) + 1
+        for r in range(1, t):
+            m[r][r] = cp
+            m[0][r] = m[r][0] = -cp
+    else:
+        ell = center
+        m[0][0] = 1 + cp
+        m[0][ell] = m[ell][0] = -cp
+        for r in range(1, t):
+            m[r][r] = cp
+            m[ell][r] = m[r][ell] = -cp
+        m[ell][ell] = cp * (t - 1)
+    return m
+
+
+def test_cert_matrix_determinant_is_closed_form():
+    for t in range(2, 25):
+        for center in range(t):
+            for cp in (1, 2, 3, 7, 10):
+                det = bareiss_determinant(_cert_matrix(t, center, cp))
+                assert det == cp ** (t - 1), (t, center, cp)
+
+
+def test_cert_counts_match_bareiss_oracle(zech10, zech20):
+    certs = [certify_almost_star(P10, 31, 6, zech=zech10),
+             certify_almost_star(P20, 205, 2, zech=zech20)]
+    certs += certify_star(P20, zech=zech20, ts=[41, 123, 205, 275])
+    for c in certs:
+        assert c.found
+        assert c.dbseqs == bareiss_determinant(_cert_matrix(c.t, c.center, c.cp)), c.t
+    assert certs[1].dbseqs == 20 ** 204
+
+
 def test_certify_skips_invalid_t(zech10):
     # 33 divides 1023 but the associated polynomial has degree 5
     assert certify_star(P10, zech=zech10, ts=[33]) == []
