@@ -81,7 +81,24 @@ def _build_ctx(args, p, t):
     return CycleCtx(p, t, zech=table)
 
 
+def _parse_ab(text):
+    """The forced exponent pair of `crossjoin --ab a,b`."""
+    parts = text.split(",")
+    try:
+        a, b = (int(x) for x in parts)
+    except ValueError:
+        raise ValueError(f"--ab expects two exponents as a,b (e.g. 7,21), "
+                         f"got {text!r}") from None
+    return a, b
+
+
+def _check_count(count, least):
+    if count < least:
+        raise ValueError(f"--count must be at least {least}, got {count}")
+
+
 def cmd_debruijn(args):
+    _check_count(args.count, 0)   # 0: certificate only, no sequence
     p = _parse_poly(args.p)
     n = degree(p)
     try:
@@ -193,12 +210,10 @@ def cmd_certify(args):
 
 
 def cmd_crossjoin(args):
+    _check_count(args.count, 1)
+    ab = _parse_ab(args.ab) if args.ab else None
     p = _parse_poly(args.p)
     zech = build_zech_table(p)
-    ab = None
-    if args.ab:
-        a, b = args.ab.split(",")
-        ab = (int(a), int(b))
     records = []
     for idx in range(args.count):
         seed = ((args.seed << 20) ^ idx) if ab is None else None

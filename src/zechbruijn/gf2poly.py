@@ -9,6 +9,8 @@ normal range, so machine-word exponents would overflow).
 
 import math
 
+import numpy as np
+
 from .factors import mersenne_prime_factors
 
 
@@ -211,6 +213,47 @@ def lfsr_state_at(p, v, e):
     return out
 
 
+_MSEQ_CLOCKED = 256     # states clocked one by one before block jumps
+_MSEQ_CHUNK = 1 << 16   # states mapped per lookup pass (bounds temporaries)
+
+
+def mseq_states(p):
+    """States 1 * A_p^i for i in [0, 2^n - 1) as a numpy array.
+
+    Clocks the first 256 states, then doubles the filled prefix of B
+    states with the linear map v -> v * A_p^B, applied through one
+    256-entry lookup table per state byte (built from lfsr_state_at on
+    basis vectors). int32 where 2^n fits, int64 otherwise.
+    """
+    n = degree(p)
+    taps = lfsr_taps(p)
+    M = (1 << n) - 1
+    dtype = np.int32 if n <= 31 else np.int64
+    states = np.empty(M, dtype=dtype)
+    filled = min(M, _MSEQ_CLOCKED)
+    v = 1
+    for i in range(filled):
+        states[i] = v
+        v = lfsr_step(v, taps, n)
+    while filled < M:
+        luts = []
+        for low in range(0, n, 8):
+            lut = np.zeros(256, dtype=dtype)
+            for j in range(min(8, n - low)):
+                image = lfsr_state_at(p, 1 << (low + j), filled)
+                lut[1 << j:2 << j] = lut[:1 << j] ^ image
+            luts.append((low, lut))
+        take = min(filled, M - filled)
+        for start in range(0, take, _MSEQ_CHUNK):
+            src = states[start:min(start + _MSEQ_CHUNK, take)]
+            out = states[filled + start:filled + start + len(src)]
+            out[:] = 0
+            for low, lut in luts:
+                out ^= lut[(src >> low) & 0xFF]
+        filled += take
+    return states
+
+
 def mseq_bit(p, seed, j):
     """Bit j of the sequence with characteristic polynomial p from `seed`.
 
@@ -371,12 +414,18 @@ def state_from_bits(bits):
 
 
 def seq_to_hex(bits):
-    """Sequence to hex, bit 0 in the most significant position."""
-    v = 0
-    for b in bits:
-        v = (v << 1) | (b & 1)
-    width = (len(bits) + 3) // 4
-    return format(v, f"0{width}x") if bits else ""
+    """Sequence to hex, bit 0 in the most significant position.
+
+    Left-pads with zero bits to whole bytes, packs, and keeps the last
+    ceil(len/4) hex digits, so a length not divisible by 4 pads the
+    leading digit.
+    """
+    if not len(bits):
+        return ""
+    arr = (np.asarray(bits) & 1).astype(np.uint8)
+    pad = np.zeros(-len(arr) % 8, dtype=np.uint8)
+    width = (len(arr) + 3) // 4
+    return np.packbits(np.concatenate((pad, arr))).tobytes().hex()[-width:]
 
 
 def seq_from_hex(text, period):

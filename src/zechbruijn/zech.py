@@ -9,6 +9,7 @@ rule, with an optional subfield lift when chaining stalls.
 """
 
 from functools import lru_cache
+from itertools import islice, repeat
 
 import numpy as np
 
@@ -19,6 +20,7 @@ from .gf2poly import (
     is_primitive,
     lfsr_step,
     lfsr_taps,
+    mseq_states,
     poly_exponents,
     poly_to_set_notation,
 )
@@ -248,8 +250,32 @@ class ZechTable:
 # ---------------------------------------------------------------------------
 # construction
 
+def _coset_leaders(n):
+    """Sorted coset leaders in [1, 2^n - 2], as an int64 array.
+
+    Doubling mod 2^n - 1 rotates the n-bit word, so k leads its coset
+    iff no rotation of k is smaller.
+    """
+    M = (1 << n) - 1
+    dtype = np.int32 if n <= 30 else np.int64
+    arr = np.arange(M, dtype=dtype)
+    cur = arr.copy()
+    top = np.empty_like(cur)
+    ge = np.empty(M, dtype=bool)
+    is_leader = np.ones(M, dtype=bool)
+    for _ in range(n - 1):
+        np.right_shift(cur, n - 1, out=top)
+        np.left_shift(cur, 1, out=cur)
+        np.bitwise_and(cur, M, out=cur)
+        np.bitwise_or(cur, top, out=cur)
+        np.greater_equal(cur, arr, out=ge)
+        is_leader &= ge
+    is_leader[0] = False
+    return np.flatnonzero(is_leader)
+
+
 def zech_bruteforce(p, cap=BRUTEFORCE_CAP):
-    """Complete table by hashing every m-sequence state to its position.
+    """Complete table by indexing every m-sequence state by its position.
 
     tau(i) is the position of state_i + state_0; state_0 = (1, 0, ..., 0).
     """
@@ -260,29 +286,15 @@ def zech_bruteforce(p, cap=BRUTEFORCE_CAP):
     table = ZechTable(n, p=p)
     if M == 1:
         return table
-    taps = lfsr_taps(p)
-    pos = np.zeros(1 << n, dtype=np.int64)
-    v = 1
-    for i in range(M):
-        if v == 1 and i:
-            raise ValueError("polynomial is not primitive")
-        pos[v] = i
-        v = lfsr_step(v, taps, n)
-    if v != 1:
+    leaders = _coset_leaders(n)
+    states = mseq_states(p)
+    if (np.count_nonzero(states == 1) != 1
+            or lfsr_step(int(states[-1]), lfsr_taps(p), n) != 1):
         raise ValueError("polynomial is not primitive")
-    # leaders via vectorized doubling
-    arr = np.arange(M, dtype=np.int64)
-    lead = arr.copy()
-    cur = arr.copy()
-    for _ in range(n - 1):
-        cur = (cur << 1) % M
-        np.minimum(lead, cur, out=lead)
-    is_leader = lead == arr
-    v = 1
-    for i in range(M):
-        if i and is_leader[i]:
-            table.entries[i] = (int(pos[v ^ 1]), "bruteforce")
-        v = lfsr_step(v, taps, n)
+    pos = np.empty(1 << n, dtype=states.dtype)
+    pos[states] = np.arange(M, dtype=states.dtype)
+    taus = pos[states[leaders] ^ 1]
+    table.entries = dict(zip(leaders.tolist(), zip(taus.tolist(), repeat("bruteforce"))))
     return table
 
 
@@ -302,8 +314,14 @@ def zech_seed_trinomial(p):
 
 def zech_closure(table):
     """Close the table under Flip, Inv (and implicitly Double) in place."""
+    return _close_from(table, [(lead, v) for lead, (v, _) in table.entries.items()])
+
+
+def _close_from(table, queue):
+    """Close under Flip and Inv from the (leader, tau) pairs in `queue`,
+    last first. On a closed table plus one new entry, closing from that
+    entry alone adds what a full closure adds, in the same order."""
     M = table.modulus
-    queue = [(lead, v) for lead, (v, _) in table.entries.items()]
     while queue:
         k, v = queue.pop()
         for arg, val, rule in ((v, k, "flip"), (M - k, (v - k) % M, "inv")):
@@ -379,13 +397,7 @@ def _sweep_flat(table):
             stack.append((v, k, "flip"))
             stack.append((M - k, (v - k) % M, "inv"))
 
-    arr = np.arange(M, dtype=np.int64)
-    lead = arr.copy()
-    cur = arr.copy()
-    for _ in range(n - 1):
-        cur = (cur << 1) % M
-        np.minimum(lead, cur, out=lead)
-    leaders_all = np.unique(lead[1:])
+    leaders_all = _coset_leaders(n)
 
     full_scan = False
     while True:
@@ -427,43 +439,64 @@ def _sweep_flat(table):
     return table
 
 
+def _is_member(sorted_arr, x):
+    """Elementwise membership of x in a non-empty sorted array."""
+    at = np.searchsorted(sorted_arr, x)
+    np.minimum(at, len(sorted_arr) - 1, out=at)
+    return sorted_arr[at] == x
+
+
 def _sweep_pairs(table, budget):
     """Chaining sweep scanning (i, j) pairs of known elements, restart on
-    progress. Used above the flat-array cap; `budget` caps pair checks."""
+    progress. Used above the flat-array cap; `budget` caps pair checks.
+
+    The table must be closed on entry. Known elements and their tau are
+    kept as sorted arrays E, V and extended with the orbits of new
+    cosets; row i tests every j != i at once, in ascending order, and
+    check number budget + 1 ends the sweep before it is made.
+    """
     M = table.modulus
+    dtype = np.int64 if table.n < 63 else object
+    E = np.empty(0, dtype=dtype)
+    V = np.empty(0, dtype=dtype)
+    merged = 0
     checked = 0
     while True:
-        values = {}
-        for lead, (v, _) in table.entries.items():
+        ks, vs = [], []
+        for lead, (v, _) in islice(table.entries.items(), merged, None):
             k, val = lead, v
             while True:
-                values[k] = val
+                ks.append(k)
+                vs.append(val)
                 k = (k << 1) % M
                 val = (val << 1) % M
                 if k == lead:
                     break
-        elements = sorted(values)
+        merged = len(table.entries)
+        E = np.concatenate((E, np.array(ks, dtype=dtype)))
+        V = np.concatenate((V, np.array(vs, dtype=dtype)))
+        order = np.argsort(E, kind="stable")
+        E, V = E[order], V[order]
         progressed = False
-        for i in elements:
-            ti = values[i]
-            for j in elements:
-                if j == i:
-                    continue
-                checked += 1
-                if budget is not None and checked > budget:
-                    return table
-                td = values.get((i - j) % M)
-                if td is None:
-                    continue
-                arg = (ti - values[j]) % M
-                if arg == 0 or arg in values:
-                    continue
-                table.add_entry(arg, (td + j - values[j]) % M, "chain")
-                zech_closure(table)
-                progressed = True
-                break
-            if progressed:
-                break
+        for r in range(len(E)):
+            d = (E[r] - E) % M
+            js = np.flatnonzero(_is_member(E, d))    # few: |E|^2 / M expected
+            js = js[js != r]
+            arg = (V[r] - V[js]) % M
+            hits = np.flatnonzero((arg != 0) & ~_is_member(E, arg))
+            q = int(js[hits[0]]) if len(hits) else None
+            cost = len(E) - 1 if q is None else q + (q < r)
+            if budget is not None and checked + cost > budget:
+                return table
+            checked += cost
+            if q is None:
+                continue
+            td = V[np.searchsorted(E, d[q])]
+            table.add_entry(int(arg[hits[0]]), int((td + E[q] - V[q]) % M), "chain")
+            lead, (v, _) = next(reversed(table.entries.items()))
+            _close_from(table, [(lead, v)])
+            progressed = True
+            break
         if not progressed:
             return table
 

@@ -1,6 +1,8 @@
 import json
 import sys
 
+import pytest
+
 from zechbruijn import ZechTable, is_debruijn, seq_from_hex
 from zechbruijn.cli import main
 
@@ -123,6 +125,27 @@ def test_crossjoin_forced_pair(capsys):
     assert rec["tau_a"] == 22 and rec["tau_b"] == 25
     assert rec["feedback"] == "x0 + x1*x2*x4 + x1*x3*x4 + x2"
     assert rec["degree"] == 3
+
+
+@pytest.mark.parametrize("ab", ["7", "7,21,3", "7,x", ","])
+def test_crossjoin_rejects_malformed_ab(capsys, ab):
+    code, out, err = run(capsys, "crossjoin", "--p", "n=5;{2}", "--ab", ab)
+    assert code == 3 and out == ""
+    assert err == f"error: --ab expects two exponents as a,b (e.g. 7,21), got {ab!r}\n"
+
+
+def test_crossjoin_rejects_count_below_one(capsys):
+    for count in ("0", "-2"):
+        code, out, err = run(capsys, "crossjoin", "--p", "n=5;{2}", "--count", count)
+        assert code == 3 and out == ""
+        assert err == f"error: --count must be at least 1, got {count}\n"
+
+
+def test_debruijn_rejects_negative_count(capsys):
+    code, out, err = run(capsys, "debruijn", "--p", "n=5;{2}", "--t", "1",
+                         "--count", "-1")
+    assert code == 3 and out == ""
+    assert err == "error: --count must be at least 0, got -1\n"
 
 
 def test_fryers_output(capsys):

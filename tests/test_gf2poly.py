@@ -204,6 +204,39 @@ def test_windows_and_hex():
     assert g.state_from_bits(g.state_bits(0b1011, 4)) == 0b1011
 
 
+def _loop_seq_to_hex(bits):
+    """Oracle: the shift-and-or loop, quadratic in len(bits)."""
+    v = 0
+    for b in bits:
+        v = (v << 1) | (b & 1)
+    width = (len(bits) + 3) // 4
+    return format(v, f"0{width}x") if bits else ""
+
+
+def test_seq_to_hex_matches_loop_oracle():
+    rng = random.Random(4)
+    for length in range(81):
+        cases = [[0] * length, [1] * length]
+        cases += [[rng.randrange(2) for _ in range(length)] for _ in range(8)]
+        for bits in cases:
+            assert g.seq_to_hex(bits) == _loop_seq_to_hex(bits), bits
+            assert g.seq_from_hex(g.seq_to_hex(bits), length) == bits
+    assert g.seq_to_hex([1, 0, 1]) == "5"      # left padding of the top digit
+    assert g.seq_to_hex([True, False, False, False, True]) == "11"
+
+
+def test_mseq_states_match_clocked_register():
+    for p in (0b11, 0b111, P4, F4, P5, P10, (1 << 17) | (1 << 3) | 1):
+        n = g.degree(p)
+        taps = g.lfsr_taps(p)
+        states = g.mseq_states(p)
+        assert len(states) == (1 << n) - 1
+        v = 1
+        for got in states.tolist():
+            assert got == v
+            v = g.lfsr_step(v, taps, n)
+
+
 def test_gf2_linear_algebra():
     rng = random.Random(11)
     for _ in range(20):

@@ -1,5 +1,6 @@
 import io
 
+import numpy as np
 import pytest
 
 from zechbruijn import (
@@ -17,6 +18,9 @@ from zechbruijn import (
     zech_seed_trinomial,
     zech_subfield_lift,
 )
+from zechbruijn import zech as zech_mod
+from zechbruijn.cycles import primitive_polynomials
+from zechbruijn.gf2poly import lfsr_step, lfsr_taps
 from zechbruijn.zech import coset_elements, num_cosets
 
 from conftest import P4, P10
@@ -32,6 +36,146 @@ CHAIN_ROWS = [
     ((749, 255), 29, 566), ((702, 136), 343, 746), ((434, 109), 27, 206),
     ((349, 333), 33, 660), ((785, 151), 87, 619), ((274, 51), 107, 376),
 ]
+
+
+def _clocked_bruteforce(p):
+    """Oracle: the brute force that clocks the register twice per state."""
+    n = p.bit_length() - 1
+    M = (1 << n) - 1
+    table = ZechTable(n, p=p)
+    if M == 1:
+        return table
+    taps = lfsr_taps(p)
+    pos = np.zeros(1 << n, dtype=np.int64)
+    v = 1
+    for i in range(M):
+        if v == 1 and i:
+            raise ValueError("polynomial is not primitive")
+        pos[v] = i
+        v = lfsr_step(v, taps, n)
+    if v != 1:
+        raise ValueError("polynomial is not primitive")
+    arr = np.arange(M, dtype=np.int64)
+    lead = arr.copy()
+    cur = arr.copy()
+    for _ in range(n - 1):
+        cur = (cur << 1) % M
+        np.minimum(lead, cur, out=lead)
+    is_leader = lead == arr
+    v = 1
+    for i in range(M):
+        if i and is_leader[i]:
+            table.entries[i] = (int(pos[v ^ 1]), "bruteforce")
+        v = lfsr_step(v, taps, n)
+    return table
+
+
+def _full_closure(table):
+    """Oracle: Flip/Inv closure from a queue of every entry."""
+    M = table.modulus
+    queue = [(lead, v) for lead, (v, _) in table.entries.items()]
+    while queue:
+        k, v = queue.pop()
+        for arg, val, rule in ((v, k, "flip"), (M - k, (v - k) % M, "inv")):
+            if arg % M == 0 or val % M == 0:
+                continue
+            if table.add_entry(arg, val, rule):
+                queue.append((arg % M, val % M))
+    return table
+
+
+def _pairs_sweep_oracle(table, budget, steps=None):
+    """Oracle: the pair sweep that tests one (i, j) pair at a time and
+    re-closes the whole table after each chain step. `steps` collects
+    the check number of each chain step."""
+    M = table.modulus
+    checked = 0
+    while True:
+        values = {}
+        for lead, (v, _) in table.entries.items():
+            k, val = lead, v
+            while True:
+                values[k] = val
+                k = (k << 1) % M
+                val = (val << 1) % M
+                if k == lead:
+                    break
+        elements = sorted(values)
+        progressed = False
+        for i in elements:
+            ti = values[i]
+            for j in elements:
+                if j == i:
+                    continue
+                checked += 1
+                if budget is not None and checked > budget:
+                    return table
+                td = values.get((i - j) % M)
+                if td is None:
+                    continue
+                arg = (ti - values[j]) % M
+                if arg == 0 or arg in values:
+                    continue
+                table.add_entry(arg, (td + j - values[j]) % M, "chain")
+                _full_closure(table)
+                if steps is not None:
+                    steps.append(checked)
+                progressed = True
+                break
+            if progressed:
+                break
+        if not progressed:
+            return table
+
+
+def test_coset_leaders_match_coset_leader():
+    for n in range(1, 13):
+        want = sorted({coset_leader(k, n)[0] for k in range(1, (1 << n) - 1)})
+        got = zech_mod._coset_leaders(n)
+        assert got.dtype == np.int64 and got.tolist() == want
+
+
+def test_bruteforce_matches_clocked_oracle_small_orders():
+    for n in range(1, 9):
+        for p in primitive_polynomials(n):
+            assert list(zech_bruteforce(p).entries.items()) \
+                == list(_clocked_bruteforce(p).entries.items()), hex(p)
+
+
+@pytest.mark.parametrize("spec", ["n=16;{5,3,2}", "n=17;{3}", "n=20;{3}"])
+def test_bruteforce_matches_clocked_oracle(spec):
+    p = poly_from_set_notation(spec)
+    assert list(zech_bruteforce(p).entries.items()) \
+        == list(_clocked_bruteforce(p).entries.items())
+
+
+@pytest.mark.parametrize("spec,budget", [
+    ("n=28;{3}", 5_000), ("n=28;{3}", 200_000), ("n=28;{3}", None),
+    ("n=31;{3}", 5_000), ("n=31;{3}", 200_000), ("n=127;{1}", 5_000),
+])
+def test_pair_sweep_matches_oracle(monkeypatch, spec, budget):
+    # whole builds: at n=28 the seed alone stalls, and the chain steps
+    # come from the sweeps that follow the subfield lift
+    p = poly_from_set_notation(spec)
+    got = build_zech_table(p, budget=budget)
+    monkeypatch.setattr(zech_mod, "_sweep_pairs", _pairs_sweep_oracle)
+    want = build_zech_table(p, budget=budget)
+    assert list(got.entries.items()) == list(want.entries.items())
+    assert any(prov == "chain" for _, prov in got.entries.values())
+
+
+@pytest.mark.parametrize("spec", ["n=31;{3}", "n=127;{1}"])
+def test_pair_sweep_budget_cut_at_each_chain_step(spec):
+    # budget c makes the chain step found at check number c, c - 1 does not
+    p = poly_from_set_notation(spec)
+    steps = []
+    _pairs_sweep_oracle(_full_closure(zech_seed_trinomial(p)), 5_000, steps)
+    assert len(steps) >= 6
+    for c in steps[:6]:
+        for budget in (c - 1, c):
+            got = chain_sweep(zech_seed_trinomial(p), budget=budget)
+            want = _pairs_sweep_oracle(_full_closure(zech_seed_trinomial(p)), budget)
+            assert list(got.entries.items()) == list(want.entries.items()), budget
 
 
 def test_coset_leader():
@@ -70,8 +214,10 @@ def test_bruteforce_order5(zech5):
 
 
 def test_bruteforce_rejects_nonprimitive():
-    with pytest.raises(ValueError):
-        zech_bruteforce(0b11111)  # irreducible of order 5
+    for p in (0b11111, 0b10101):   # irreducible of order 5; (x^2+x+1)^2
+        for build in (zech_bruteforce, _clocked_bruteforce):
+            with pytest.raises(ValueError, match="not primitive"):
+                build(p)
     with pytest.raises(ResourceCapError):
         zech_bruteforce((1 << 30) | (1 << 1) | 1, cap=26)
 
