@@ -72,7 +72,6 @@ from .joining import (
     ProductCtx,
     ProductCycleLabel,
     anf_bits,
-    anf_block,
     anf_stream,
     generate_debruijn,
     join_feedback,

@@ -34,15 +34,11 @@ from .graph import (
     sample_spanning_tree,
 )
 from .joining import generate_debruijn, tree_feedback
-from .zech import ResourceCapError, build_zech_table
+from .zech import MissingEntryError, build_zech_table
 
 EXIT_OK = 0
 EXIT_PARTIAL = 2
 EXIT_INVALID = 3
-
-
-def _parse_poly(text):
-    return poly_from_set_notation(text)
 
 
 def _emit(args, text):
@@ -54,13 +50,9 @@ def _emit(args, text):
 
 
 def cmd_zech(args):
-    p = _parse_poly(args.p)
-    try:
-        table = build_zech_table(p, mode=args.mode, cap=args.cap,
-                                 lift=not args.no_lift, budget=args.budget)
-    except (ResourceCapError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    p = poly_from_set_notation(args.p)
+    table = build_zech_table(p, mode=args.mode, cap=args.cap,
+                             lift=not args.no_lift, budget=args.budget)
     buf = io.StringIO()
     table.dump(buf)
     _emit(args, buf.getvalue())
@@ -76,9 +68,7 @@ def cmd_zech(args):
 
 def _build_ctx(args, p, t):
     check_t(degree(p), t)
-    mode = args.mode if hasattr(args, "mode") else "auto"
-    table = build_zech_table(p, mode=mode)
-    return CycleCtx(p, t, zech=table)
+    return CycleCtx(p, t, zech=build_zech_table(p, mode=args.mode))
 
 
 def _parse_ab(text):
@@ -92,6 +82,15 @@ def _parse_ab(text):
     return a, b
 
 
+def _feedback_text(fb):
+    """The expanded ANF of a joined feedback, or its compact form when the
+    expansion needs more than 2^16 monomials."""
+    try:
+        return str(fb.to_anf(1 << 16))
+    except ValueError:
+        return str(fb)
+
+
 def _check_count(count, least):
     if count < least:
         raise ValueError(f"--count must be at least {least}, got {count}")
@@ -99,27 +98,12 @@ def _check_count(count, least):
 
 def cmd_debruijn(args):
     _check_count(args.count, 0)   # 0: certificate only, no sequence
-    p = _parse_poly(args.p)
+    p = poly_from_set_notation(args.p)
     n = degree(p)
-    try:
-        ctx = _build_ctx(args, p, args.t)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    ctx = _build_ctx(args, p, args.t)
     g = connected_subgraph(ctx)
-    if not g.is_connected():
-        adj = {}
-        for (u, v) in g.mult:
-            adj.setdefault(u, []).append(v)
-            adj.setdefault(v, []).append(u)
-        seen = {0}
-        stack = [0]
-        while stack:
-            for w in adj.get(stack.pop(), ()):
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        missing = sorted(w - 1 for w in set(range(g.size)) - seen)
+    missing = g.unreached()
+    if missing:
         print(f"error: adjacency graph disconnected; unreached cycles {missing}",
               file=sys.stderr)
         return EXIT_PARTIAL
@@ -136,11 +120,7 @@ def cmd_debruijn(args):
         else:
             tree = sample_spanning_tree(g, seed=(args.seed << 20) ^ idx)
         fb = tree_feedback(ctx, tree)
-        try:
-            text = str(fb.to_anf(1 << 16))
-        except ValueError:
-            text = str(fb)
-        rec = {"tree": idx, "feedback": text, "degree": fb.degree}
+        rec = {"tree": idx, "feedback": _feedback_text(fb), "degree": fb.degree}
         if n <= args.materialize_cap:
             bits = generate_debruijn(ctx, tree)
             if n <= 14 and not is_debruijn(bits, n):
@@ -177,7 +157,7 @@ def cmd_debruijn(args):
 
 
 def cmd_certify(args):
-    p = _parse_poly(args.p)
+    p = poly_from_set_notation(args.p)
     zech = build_zech_table(p)
     certs = []
     if args.l is not None:
@@ -212,17 +192,13 @@ def cmd_certify(args):
 def cmd_crossjoin(args):
     _check_count(args.count, 1)
     ab = _parse_ab(args.ab) if args.ab else None
-    p = _parse_poly(args.p)
+    p = poly_from_set_notation(args.p)
     zech = build_zech_table(p)
     records = []
     for idx in range(args.count):
         seed = ((args.seed << 20) ^ idx) if ab is None else None
         pair, fb, prov = random_crossjoin(p, zech=zech, seed=seed, ab=ab)
-        try:
-            text = str(fb.to_anf(1 << 16))
-        except ValueError:
-            text = str(fb)
-        records.append({"feedback": text, "degree": fb.degree, **prov})
+        records.append({"feedback": _feedback_text(fb), "degree": fb.degree, **prov})
     if args.format == "json":
         _emit(args, "\n".join(json.dumps(r, sort_keys=True) for r in records) + "\n")
     else:
@@ -273,12 +249,8 @@ def cmd_fryers(args):
 
 
 def cmd_cyclotomic(args):
-    p = _parse_poly(args.p)
-    try:
-        ctx = _build_ctx(args, p, args.t)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    p = poly_from_set_notation(args.p)
+    ctx = _build_ctx(args, p, args.t)
     matrix = cyclotomic_numbers(ctx)
     if args.format == "json":
         _emit(args, json.dumps({"p": poly_to_set_notation(p), "t": args.t,
@@ -365,6 +337,9 @@ def main(argv=None):
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    except MissingEntryError as exc:    # str() of a KeyError adds quotes
+        print(f"error: {exc.args[0]}", file=sys.stderr)
+        return EXIT_PARTIAL
 
 
 if __name__ == "__main__":

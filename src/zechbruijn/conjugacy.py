@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cycles import ZERO_CYCLE, CyclePos, cycle_position
-from .zech import ResourceCapError, coset_leader
+from .zech import ResourceCapError, coset_leader, doubling_orbit
 
 
 @dataclass(frozen=True)
@@ -49,17 +49,6 @@ def pair_at(ctx, k):
     return ConjugatePair(k, tk, cycle_position(ctx, k), cycle_position(ctx, tk))
 
 
-def _orbit_period(x, t):
-    """Least s > 0 with x * 2^s = x mod t (1 when x = 0 mod t)."""
-    x %= t
-    s = 1
-    y = (x * 2) % t
-    while y != x:
-        y = (y * 2) % t
-        s += 1
-    return s
-
-
 class CosetPairBatch:
     """All conjugate pairs induced by one Zech entry, grouped by cycle pair.
 
@@ -78,32 +67,27 @@ class CosetPairBatch:
         _, self.nj = coset_leader(j, ctx.n)
         # the cycle-pair sequence repeats when both residues do
         self.cycle_pair_count = math.lcm(
-            _orbit_period(j, ctx.t), _orbit_period(tau_j, ctx.t)
+            len(doubling_orbit(j, ctx.t)), len(doubling_orbit(tau_j, ctx.t))
         )
         self.pairs_per_cycle = self.nj // self.cycle_pair_count
 
+    def exponent_pairs(self):
+        """The n_j exponent pairs (2^s j, 2^s tau(j)), s = 0, 1, ...; the
+        first `cycle_pair_count` of them fall on distinct cycle pairs."""
+        M = self.ctx.modulus
+        return list(zip(doubling_orbit(self.j, M), doubling_orbit(self.tau_j, M)))
+
     def cycle_pairs(self):
         """The distinct (left cycle, right cycle) index pairs."""
-        M, t = self.ctx.modulus, self.ctx.t
-        out = []
-        a, b = self.j, self.tau_j
-        for _ in range(self.cycle_pair_count):
-            out.append((a % t, b % t))
-            a = (a * 2) % M
-            b = (b * 2) % M
-        return out
+        t = self.ctx.t
+        return [(a % t, b % t) for a, b in self.exponent_pairs()[:self.cycle_pair_count]]
 
     def __iter__(self):
-        """Lazily yield all n_j pairs; n_j can be as large as the degree
-        times the coset count, so nothing is materialized up front."""
-        M = self.ctx.modulus
-        a, b = self.j, self.tau_j
-        for _ in range(self.nj):
+        """Yield all n_j pairs, locating each one only when it is reached."""
+        for a, b in self.exponent_pairs():
             yield ConjugatePair(
                 a, b, cycle_position(self.ctx, a), cycle_position(self.ctx, b)
             )
-            a = (a * 2) % M
-            b = (b * 2) % M
 
 
 def pairs_from_coset(ctx, j):

@@ -13,7 +13,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .gf2poly import degree, is_debruijn, lfsr_state_at, poly_to_set_notation
+from .gf2poly import degree, lfsr_state_at, poly_to_set_notation, seq_windows
 from .joining import Anf, NlfsrFeedback, anf_bits, pair_product
 from .zech import MissingEntryError, build_zech_table
 
@@ -128,17 +128,13 @@ def enumerate_crossjoin_pairs(seq, n=None):
     """
     if n is None:
         n = (len(seq) - 1).bit_length()
-    if not is_debruijn(seq, n):
-        raise ValueError("input is not a de Bruijn sequence of this order")
     N = len(seq)
-    pos = [0] * (1 << n)
-    w = 0
-    for j in range(n - 1):
-        w |= seq[j] << j
-    for j in range(N):
-        w |= seq[(j + n - 1) % N] << (n - 1)
-        pos[w] = j
-        w >>= 1
+    pos = [None] * (1 << n)     # every slot fills iff the windows are distinct
+    if N == 1 << n:
+        for j, w in enumerate(seq_windows(seq, n)):
+            pos[w] = j
+    if None in pos:
+        raise ValueError("input is not a de Bruijn sequence of this order")
     out = []
     half = 1 << (n - 1)
     for A in range(half):
@@ -150,32 +146,6 @@ def enumerate_crossjoin_pairs(seq, n=None):
             if (q0 < qa) != (q1 < qa):
                 out.append(CrossJoinPair(n, A << 1, B << 1))
     return out
-
-
-def count_crossjoin_pairs_naive(seq, n):
-    """Quadratic oracle: scan every couple of conjugate pairs positionally."""
-    N = len(seq)
-    windows = []
-    w = 0
-    for j in range(n - 1):
-        w |= seq[j] << j
-    for j in range(N):
-        w |= seq[(j + n - 1) % N] << (n - 1)
-        windows.append(w)
-        w >>= 1
-    count = 0
-    half = 1 << (n - 1)
-    for A in range(half):
-        for B in range(A + 1, half):
-            marks = []
-            for j, w in enumerate(windows):
-                if w >> 1 == A:
-                    marks.append("a")
-                elif w >> 1 == B:
-                    marks.append("b")
-            if marks in (["a", "b", "a", "b"], ["b", "a", "b", "a"]):
-                count += 1
-    return count
 
 
 # ---------------------------------------------------------------------------
@@ -229,13 +199,8 @@ def feedback_of_debruijn(seq, n):
     """Feedback ANF realizing a de Bruijn sequence (truth-table Moebius)."""
     N = len(seq)
     table = [0] * (1 << n)
-    w = 0
-    for j in range(n - 1):
-        w |= seq[j] << j
-    for j in range(N):
-        w |= seq[(j + n - 1) % N] << (n - 1)
+    for j, w in enumerate(seq_windows(seq, n)):
         table[w] = seq[(j + n) % N]
-        w >>= 1
     return Anf.from_truth_table(n, table)
 
 

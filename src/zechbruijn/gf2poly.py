@@ -254,15 +254,6 @@ def mseq_states(p):
     return states
 
 
-def mseq_bit(p, seed, j):
-    """Bit j of the sequence with characteristic polynomial p from `seed`.
-
-    Equals the first coordinate of seed * A_p^j, i.e. the parity of
-    seed & (x^j mod p); j may be huge.
-    """
-    return (seed & poly_powmod(2, j, p)).bit_count() & 1
-
-
 def berlekamp_massey(bits):
     """Minimal (characteristic) polynomial of a bit sequence.
 
@@ -328,22 +319,24 @@ def associated_irreducible(p, t):
     return f, degree(f) == n
 
 
-def seq_windows_distinct(bits, n):
-    """True iff all cyclic n-windows of the sequence are distinct."""
+def seq_windows(bits, n):
+    """The cyclic n-windows of a sequence as state ints: window j holds
+    bits[j], ..., bits[j + n - 1] (indices mod len), bits[j] as bit 0."""
     N = len(bits)
-    if N > (1 << n):
-        return False
-    seen = bytearray(1 << n)
+    out = []
     w = 0
     for j in range(n - 1):
         w |= bits[j] << j
     for j in range(N):
         w |= bits[(j + n - 1) % N] << (n - 1)
-        if seen[w]:
-            return False
-        seen[w] = 1
+        out.append(w)
         w >>= 1
-    return True
+    return out
+
+
+def seq_windows_distinct(bits, n):
+    """True iff all cyclic n-windows of the sequence are distinct."""
+    return len(bits) <= (1 << n) and len(set(seq_windows(bits, n))) == len(bits)
 
 
 def is_debruijn(bits, n):

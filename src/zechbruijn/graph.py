@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from .conjugacy import pairs_from_coset
 from .cycles import check_t
 from .gf2poly import degree, poly_to_set_notation
-from .zech import build_zech_table, coset_leader
+from .zech import MissingEntryError, build_zech_table, coset_leader, doubling_orbit
 
 
 def log2_int(x):
@@ -104,17 +104,14 @@ class AdjSubgraph:
         from .cycles import exponent_to_state
 
         ctx = batch.ctx
-        M, t = ctx.modulus, ctx.t
-        a, b = batch.j, batch.tau_j
-        for _ in range(batch.cycle_pair_count):
+        t = ctx.t
+        for a, b in batch.exponent_pairs()[:batch.cycle_pair_count]:
             ca, cb = a % t, b % t
             if ca != cb:
                 tail = exponent_to_state(ctx, a) >> 1
                 self.add_edge(ca, cb, batch.pairs_per_cycle,
                               rep=(min(a, b), max(a, b)),
                               rep_weight=tail.bit_count())
-            a = (a * 2) % M
-            b = (b * 2) % M
 
     def multiplicity(self, ci, cj):
         u, v = self._vertex(ci), self._vertex(cj)
@@ -126,9 +123,6 @@ class AdjSubgraph:
         """Sorted (u, v, multiplicity) triples over vertex indices."""
         return [(u, v, m) for (u, v), m in sorted(self.mult.items())]
 
-    def degree_of(self, vertex):
-        return sum(m for (u, v), m in self.mult.items() if vertex in (u, v))
-
     def neighbors(self, vertex):
         out = {}
         for (u, v), m in self.mult.items():
@@ -138,21 +132,23 @@ class AdjSubgraph:
                 out[u] = m
         return out
 
-    def is_connected(self):
-        if not self.mult:
-            return self.size == 1
-        seen = {0}
-        stack = [0]
+    def unreached(self):
+        """Sorted indices of the cycles no path joins to the zero cycle."""
         adj = {}
         for (u, v) in self.mult:
             adj.setdefault(u, []).append(v)
             adj.setdefault(v, []).append(u)
+        seen = {0}
+        stack = [0]
         while stack:
             for w in adj.get(stack.pop(), ()):
                 if w not in seen:
                     seen.add(w)
                     stack.append(w)
-        return len(seen) == self.size
+        return [v - 1 for v in range(1, self.size) if v not in seen]
+
+    def is_connected(self):
+        return not self.unreached()
 
     def laplacian(self):
         """Degree matrix minus adjacency, multiplicities as weights."""
@@ -165,26 +161,45 @@ class AdjSubgraph:
         return lap
 
 
-def build_subgraph(ctx, cosets):
-    """Graph from the batches of the given coset representatives.
+def _find(parent, x):
+    """Union-find root of x, halving the path on the way."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
 
-    Each Zech entry and its Flip mirror describe the same pair set, so
-    already-covered cosets (either side) are skipped. Always includes the
-    zero-cycle edge.
+
+def _coset_batches(ctx, js):
+    """Pair batches of the distinct cosets of the exponents js, in order.
+
+    Each Zech entry and its Flip mirror describe the same pair set, so a
+    coset already covered from either side is skipped, as is one whose
+    entry the table lacks; a coset joining a cycle to itself covers its
+    mirror but yields nothing.
     """
-    g = AdjSubgraph(ctx.t)
-    g.add_zero_edge()
     covered = set()
-    for j in cosets:
+    for j in js:
         lead, _ = coset_leader(j, ctx.n)
         if lead in covered:
             continue
-        batch = pairs_from_coset(ctx, j)
-        lead_tau, _ = coset_leader(ctx.zech.resolve(j), ctx.n)
+        try:
+            batch = pairs_from_coset(ctx, j)
+            lead_tau, _ = coset_leader(ctx.zech.resolve(j), ctx.n)
+        except MissingEntryError:
+            continue
         covered.add(lead)
         covered.add(lead_tau)
         if batch is not None:
-            g.add_batch(batch)
+            yield batch
+
+
+def build_subgraph(ctx, cosets):
+    """Graph from the batches of the given coset representatives, plus
+    the zero-cycle edge (see `_coset_batches` for what is skipped)."""
+    g = AdjSubgraph(ctx.t)
+    g.add_zero_edge()
+    for batch in _coset_batches(ctx, cosets):
+        g.add_batch(batch)
     return g
 
 
@@ -198,55 +213,29 @@ def count_spanning_trees(g):
     return det
 
 
-def connected_subgraph(ctx, budget=None):
+def connected_subgraph(ctx):
     """Smallest-first coset accumulation until every cycle is connected.
 
-    Walks j = 1, 2, ... adding pair batches (skipping flip mirrors, same-
-    cycle cosets and unresolvable entries) and stops as soon as the graph
-    spans all t + 1 vertices. Returns the possibly-disconnected graph when
-    the budget (default: all of [1, 2^n - 2]) runs out first.
+    Adds the pair batches of j = 1, 2, ... (see `_coset_batches`) and
+    stops as soon as the graph spans all t + 1 vertices; returns the
+    disconnected graph when [1, 2^n - 2] runs out first.
     """
-    from .zech import MissingEntryError
-
     g = AdjSubgraph(ctx.t)
     g.add_zero_edge()
     parent = list(range(g.size))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(u, v):
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            return 0
-        parent[ru] = rv
-        return 1
-
-    components = g.size - union(0, 1)
-    covered = set()
-    limit = budget if budget is not None else ctx.modulus - 1
-    j = 0
-    while components > 1 and j < limit:
-        j += 1
-        lead, _ = coset_leader(j, ctx.n)
-        if lead in covered:
-            continue
-        try:
-            batch = pairs_from_coset(ctx, j)
-            tau_lead, _ = coset_leader(ctx.zech.resolve(j), ctx.n)
-        except MissingEntryError:
-            continue
-        covered.add(lead)
-        covered.add(tau_lead)
+    parent[0] = 1              # the zero edge joins [0] to u_0
+    components = g.size - 1
+    batches = _coset_batches(ctx, range(1, ctx.modulus))
+    while components > 1:
+        batch = next(batches, None)
         if batch is None:
-            continue
+            break
         g.add_batch(batch)
         for ca, cb in batch.cycle_pairs():
-            if ca != cb:
-                components -= union(1 + ca, 1 + cb)
+            ru, rv = _find(parent, 1 + ca), _find(parent, 1 + cb)
+            if ru != rv:
+                parent[ru] = rv
+                components -= 1
     return g
 
 
@@ -296,22 +285,9 @@ class TreeCert:
         )
 
 
-def _mod_t_orbit(x, t):
-    """Doubling orbit of x modulo t (the coset of 2 mod t containing x)."""
-    x %= t
-    out = [x]
-    y = (x * 2) % t
-    while y != x:
-        out.append(y)
-        y = (y * 2) % t
-    return out
-
-
 def _certify_walk(p, f, t, resolve, center, z_max):
     """Algorithm-1 walk: cover all residues mod t by coset images of
     tau at exponents (2k-1)t + center."""
-    from .zech import MissingEntryError
-
     n = degree(p)
     M = (1 << n) - 1
     done = {center % t}
@@ -327,7 +303,7 @@ def _certify_walk(p, f, t, resolve, center, z_max):
             L = resolve(i) % t
         except MissingEntryError:
             continue  # partial table: hunt with what resolves
-        orbit = _mod_t_orbit(L, t)
+        orbit = doubling_orbit(L, t)
         if min(orbit) in done:
             continue
         witness.append(w)
@@ -410,18 +386,11 @@ class SpanningTree:
         if len(self.edges) != self.t:
             raise ValueError("a spanning tree here has exactly t edges")
         parent = list(range(self.t + 1))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
         for ci, cj, _rep in self.edges:
             u, v = AdjSubgraph._vertex(ci), AdjSubgraph._vertex(cj)
             if g is not None and g.multiplicity(ci, cj) == 0:
                 raise ValueError(f"edge ({ci}, {cj}) not present in graph")
-            ru, rv = find(u), find(v)
+            ru, rv = _find(parent, u), _find(parent, v)
             if ru == rv:
                 raise ValueError("tree contains a cycle")
             parent[ru] = rv
@@ -476,16 +445,9 @@ def deterministic_spanning_tree(g):
 
 def _kruskal(g, order):
     parent = list(range(g.size))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     chosen = []
     for (u, v), _m in order:
-        ru, rv = find(u), find(v)
+        ru, rv = _find(parent, u), _find(parent, v)
         if ru != rv:
             parent[ru] = rv
             chosen.append((u, v))

@@ -287,19 +287,8 @@ def generate_debruijn(ctx, tree, mode="materialize", cap=26):
     return out
 
 
-def anf_bits(anf, state, length):
-    """First `length` output bits of the NLFSR with feedback `anf`."""
-    n = anf.n
-    out = []
-    v = state
-    for _ in range(length):
-        out.append(v & 1)
-        v = (v >> 1) | (anf.eval(v) << (n - 1))
-    return out
-
-
 def anf_stream(anf, state):
-    """Endless bit generator; send semantics not needed, state is local."""
+    """Endless output bits of the NLFSR with feedback `anf` from `state`."""
     n = anf.n
     v = state
     while True:
@@ -307,15 +296,9 @@ def anf_stream(anf, state):
         v = (v >> 1) | (anf.eval(v) << (n - 1))
 
 
-def anf_block(anf, state, size):
-    """One fixed-size block of output bits plus the resume state."""
-    n = anf.n
-    out = []
-    v = state
-    for _ in range(size):
-        out.append(v & 1)
-        v = (v >> 1) | (anf.eval(v) << (n - 1))
-    return out, v
+def anf_bits(anf, state, length):
+    """First `length` output bits of the NLFSR with feedback `anf`."""
+    return list(itertools.islice(anf_stream(anf, state), length))
 
 
 # ---------------------------------------------------------------------------

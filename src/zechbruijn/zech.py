@@ -44,31 +44,55 @@ class ResourceCapError(ValueError):
     """Requested computation exceeds the configured size cap."""
 
 
-def coset_leader(k, n):
-    """Leader (minimum) and size of the doubling orbit of k mod 2^n - 1."""
-    M = (1 << n) - 1
-    k %= M
+def _leader_shift(k, M):
+    """Walk the doubling orbit of k mod M (0 <= k < M) without building it.
+
+    Returns (lead, shift, size): the orbit's least element, the number of
+    doublings that take k to it (the first time it is reached), and the
+    orbit size.
+    """
     lead = k
-    x = (k << 1) % M
+    shift = 0
+    x = k + k          # x < 2M, so one subtraction reduces it (cheaper than %)
+    if x >= M:
+        x -= M
     size = 1
     while x != k:
         if x < lead:
-            lead = x
-        x = (x << 1) % M
+            lead, shift = x, size
+        x += x
+        if x >= M:
+            x -= M
         size += 1
+    return lead, shift, size
+
+
+def doubling_orbit(x, m):
+    """The orbit x, 2x, 4x, ... mod m (m odd, so it returns to x), as a
+    list starting from x mod m."""
+    x %= m
+    out = [x]
+    y = x + x
+    if y >= m:
+        y -= m
+    while y != x:
+        out.append(y)
+        y += y
+        if y >= m:
+            y -= m
+    return out
+
+
+def coset_leader(k, n):
+    """Leader (minimum) and size of the doubling orbit of k mod 2^n - 1."""
+    M = (1 << n) - 1
+    lead, _, size = _leader_shift(k % M, M)
     return lead, size
 
 
 def coset_elements(k, n):
     """The doubling orbit of k mod 2^n - 1, starting from k."""
-    M = (1 << n) - 1
-    k %= M
-    out = [k]
-    x = (k << 1) % M
-    while x != k:
-        out.append(x)
-        x = (x << 1) % M
-    return out
+    return doubling_orbit(k, (1 << n) - 1)
 
 
 @lru_cache(maxsize=None)
@@ -119,17 +143,8 @@ class ZechTable:
         v %= M
         if k == 0 or v == 0:
             raise ValueError("tau is defined on [1, 2^n - 2] only")
-        lead = k
-        shift = 0
-        x = (k << 1) % M
-        s = 1
-        while x != k:
-            if x < lead:
-                lead, shift = x, s
-            x = (x << 1) % M
-            s += 1
-        # k = lead * 2^(s - shift) ... i.e. lead reached after `shift` doublings
-        # of k; so tau(lead) = tau(k) * 2^shift.
+        # lead is k doubled `shift` times, so tau(lead) = tau(k) * 2^shift
+        lead, shift, _ = _leader_shift(k, M)
         vlead = (v * pow(2, shift, M)) % M
         old = self.entries.get(lead)
         if old is not None:
@@ -145,8 +160,7 @@ class ZechTable:
         k %= self.modulus
         if k == 0:
             return False
-        lead, _ = coset_leader(k, self.n)
-        return lead in self.entries
+        return _leader_shift(k, self.modulus)[0] in self.entries
 
     def resolve(self, k):
         """tau(k), shifting the stored leader entry by the Double map."""
@@ -154,19 +168,10 @@ class ZechTable:
         k %= M
         if k == 0:
             raise ValueError("tau(0) is undefined (1 + 1 = 0)")
-        lead = k
-        shift = 0
-        x = (k << 1) % M
-        s = 1
-        while x != k:
-            if x < lead:
-                lead, shift = x, s
-            x = (x << 1) % M
-            s += 1
+        lead, shift, size = _leader_shift(k, M)
         entry = self.entries.get(lead)
         if entry is None:
             raise MissingEntryError(f"coset of {k} (leader {lead}) not in table")
-        size = s
         # k = lead doubled (size - shift) times
         return (entry[0] * pow(2, (size - shift) % size, M)) % M
 
@@ -175,14 +180,6 @@ class ZechTable:
     @property
     def complete(self):
         return len(self.entries) == num_cosets(self.n)
-
-    def known_elements(self):
-        """Sorted list of all elements in known cosets."""
-        out = []
-        for lead in self.entries:
-            out.extend(coset_elements(lead, self.n))
-        out.sort()
-        return out
 
     def coverage(self):
         elements = sum(coset_leader(l, self.n)[1] for l in self.entries)
@@ -372,6 +369,8 @@ def _sweep_flat(table):
     n, M = table.n, table.modulus
     tau = table.to_array()
     known = tau >= 0
+    # scalar stores through memoryviews skip numpy's per-item overhead
+    known_mv, tau_mv = memoryview(known), memoryview(tau)
 
     def add_closed(k, v, prov):
         stack = [(k, v, prov)]
@@ -386,14 +385,9 @@ def _sweep_flat(table):
                     raise CorruptTableError(f"tau({k}) = {tau[k]} vs {v}")
                 continue
             table.add_entry(k, v, prov)
-            kk, vv = k, v
-            while True:
-                known[kk] = True
-                tau[kk] = vv
-                kk = (kk << 1) % M
-                vv = (vv << 1) % M
-                if kk == k:
-                    break
+            for kk, vv in zip(doubling_orbit(k, M), doubling_orbit(v, M)):
+                known_mv[kk] = True
+                tau_mv[kk] = vv
             stack.append((v, k, "flip"))
             stack.append((M - k, (v - k) % M, "inv"))
 
@@ -464,14 +458,8 @@ def _sweep_pairs(table, budget):
     while True:
         ks, vs = [], []
         for lead, (v, _) in islice(table.entries.items(), merged, None):
-            k, val = lead, v
-            while True:
-                ks.append(k)
-                vs.append(val)
-                k = (k << 1) % M
-                val = (val << 1) % M
-                if k == lead:
-                    break
+            ks += doubling_orbit(lead, M)
+            vs += doubling_orbit(v, M)
         merged = len(table.entries)
         E = np.concatenate((E, np.array(ks, dtype=dtype)))
         V = np.concatenate((V, np.array(vs, dtype=dtype)))

@@ -84,6 +84,18 @@ def test_debruijn_rejects_t_equal_to_period(capsys):
     assert err == "error: t = 31 must divide 2^5 - 1 and lie in [1, 2^5 - 2] for n = 5\n"
 
 
+def test_debruijn_disconnected_graph_is_partial(capsys, monkeypatch):
+    # a seed table closed under Flip/Inv only reaches u_0 from [0]
+    from zechbruijn import cli, zech_closure, zech_seed_trinomial
+
+    monkeypatch.setattr(cli, "build_zech_table",
+                        lambda p, mode="auto": zech_closure(zech_seed_trinomial(p)))
+    code, out, err = run(capsys, "debruijn", "--p", "n=10;{3}", "--t", "31")
+    assert code == 2 and out == ""
+    assert err == ("error: adjacency graph disconnected; unreached cycles "
+                   f"{list(range(1, 31))}\n")
+
+
 def test_debruijn_dot_output(capsys):
     code, out, _err = run(capsys, "debruijn", "--p", "n=4;{1}", "--t", "3",
                           "--format", "dot")
@@ -125,6 +137,13 @@ def test_crossjoin_forced_pair(capsys):
     assert rec["tau_a"] == 22 and rec["tau_b"] == 25
     assert rec["feedback"] == "x0 + x1*x2*x4 + x1*x3*x4 + x2"
     assert rec["degree"] == 3
+
+
+def test_crossjoin_forced_pair_missing_from_partial_table(capsys):
+    # the n=28 sweep table stops short of the coset of 1
+    code, out, err = run(capsys, "crossjoin", "--p", "n=28;{3}", "--ab", "1,2")
+    assert code == 2 and out == ""
+    assert err == "error: coset of 1 (leader 1) not in table\n"
 
 
 @pytest.mark.parametrize("ab", ["7", "7,21,3", "7,x", ","])

@@ -19,7 +19,7 @@ from zechbruijn import (
     zech_closure,
     zech_seed_trinomial,
 )
-from zechbruijn.crossjoin import count_crossjoin_pairs_naive
+from zechbruijn.gf2poly import seq_windows
 
 from conftest import P4, P5
 
@@ -33,6 +33,24 @@ H_T = ("x0 + x1*x2*x3*x4 + x1*x2*x3 + x1*x2 + x1*x3*x4 + x1*x3 + x1 "
        "+ x2*x3 + x3 + 1")
 H_R = ("x0 + x1*x2*x3*x4 + x1*x2*x4 + x1*x3 + x1 + x2*x3*x4 "
        "+ x2*x4 + x2 + x3 + 1")
+
+
+def count_crossjoin_pairs_naive(seq, n):
+    """Quadratic oracle: scan every couple of conjugate pairs positionally."""
+    windows = seq_windows(seq, n)
+    count = 0
+    half = 1 << (n - 1)
+    for A in range(half):
+        for B in range(A + 1, half):
+            marks = []
+            for w in windows:
+                if w >> 1 == A:
+                    marks.append("a")
+                elif w >> 1 == B:
+                    marks.append("b")
+            if marks in (["a", "b", "a", "b"], ["b", "a", "b", "a"]):
+                count += 1
+    return count
 
 
 def test_order5_walkthrough_chain():

@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zechbruijn import gf2poly as g
 from zechbruijn.factors import UnsupportedDegreeError
@@ -202,6 +204,16 @@ def test_windows_and_hex():
     assert not g.is_debruijn(bits, 4)      # period 15, not 16
     assert g.seq_from_hex(g.seq_to_hex(bits), 15) == bits
     assert g.state_from_bits(g.state_bits(0b1011, 4)) == 0b1011
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 1), min_size=1, max_size=64), st.data())
+def test_seq_windows_match_slicing(bits, data):
+    n = data.draw(st.integers(1, len(bits) + 1), label="n")
+    N = len(bits)
+    want = [g.state_from_bits((bits * 3)[j:j + n]) for j in range(N)]
+    assert g.seq_windows(bits, n) == want
+    assert g.seq_windows_distinct(bits, n) == (N <= 1 << n and len(set(want)) == N)
 
 
 def _loop_seq_to_hex(bits):

@@ -1,7 +1,10 @@
 import itertools
 import random
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zechbruijn import (
     AdjSubgraph,
@@ -286,3 +289,25 @@ def test_export_dot(ctx4):
     assert text.rstrip().endswith("}")
     full = export_dot(g)
     assert full.count("--") == sum(m for _u, _v, m in g.edges())
+
+
+_multigraphs = st.integers(1, 9).flatmap(lambda t: st.tuples(
+    st.just(t),
+    st.lists(st.tuples(st.integers(0, t), st.integers(0, t), st.integers(1, 3)),
+             max_size=14)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_multigraphs)
+def test_unreached_matches_networkx(case):
+    t, edges = case
+    g = AdjSubgraph(t)
+    ref = nx.MultiGraph()
+    ref.add_nodes_from(range(t + 1))
+    for u, v, m in edges:
+        if u != v:
+            g.add_edge(None if u == 0 else u - 1, None if v == 0 else v - 1, m)
+            ref.add_edges_from([(u, v)] * m)
+    reached = nx.node_connected_component(ref, 0)
+    assert g.unreached() == sorted(v - 1 for v in ref if v not in reached)
+    assert g.is_connected() == nx.is_connected(ref)

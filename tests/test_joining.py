@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zechbruijn import (
     Anf,
@@ -20,7 +22,9 @@ from zechbruijn import (
     product_conjugate,
     product_cycle_of,
     product_cycle_structure,
+    poly_from_set_notation,
     sample_spanning_tree,
+    tree_feedback,
     zech_bruteforce,
 )
 from zechbruijn.gf2poly import lfsr_step, lfsr_taps, state_from_bits
@@ -144,14 +148,13 @@ def test_patched_lfsr_roundtrip(ctx4):
 
 
 def test_stream_blocks_resume(ctx4):
-    from zechbruijn import anf_block
-
+    # the register state after j clocks is the n-window at j, so output
+    # restarted from that window continues the sequence
     g = build_subgraph(ctx4, range(1, 15))
     anf = joined_feedback(ctx4, deterministic_spanning_tree(g))
     whole = anf_bits(anf, 0, 16)
-    first, mid_state = anf_block(anf, 0, 6)
-    rest, _ = anf_block(anf, mid_state, 10)
-    assert first + rest == whole
+    mid_state = state_from_bits(whole[6:6 + ctx4.n])
+    assert anf_bits(anf, 0, 6) + anf_bits(anf, mid_state, 10) == whole
 
 
 # ---------------------------------------------------------------------------
@@ -264,3 +267,28 @@ def test_product_join_gives_debruijn_order6():
     assert len(tails) == len(labels) - 1
     bits, final = patched_lfsr_bits(pctx.f, tails, 0, 64)
     assert final == 0 and is_debruijn(bits, 6)
+
+
+_JOIN_CASES = [("n=4;{1}", 3), ("n=5;{2}", 1), ("n=6;{1}", 3), ("n=6;{1}", 7),
+               ("n=8;{4,3,2}", 5)]
+
+
+@pytest.fixture(scope="module")
+def join_graphs():
+    out = []
+    for spec, t in _JOIN_CASES:
+        p = poly_from_set_notation(spec)
+        ctx = CycleCtx(p, t, zech=zech_bruteforce(p))
+        out.append((ctx, build_subgraph(ctx, range(1, ctx.modulus))))
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, len(_JOIN_CASES) - 1), st.integers(0, 1 << 16),
+       st.integers(0, 255), st.integers(0, 300))
+def test_anf_bits_match_patched_register(join_graphs, case, seed, state, length):
+    ctx, g = join_graphs[case]
+    tree = sample_spanning_tree(g, seed=seed)
+    state &= (1 << ctx.n) - 1
+    want, _ = patched_lfsr_bits(ctx.f, tree_feedback(ctx, tree).tails, state, length)
+    assert anf_bits(joined_feedback(ctx, tree), state, length) == want

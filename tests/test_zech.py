@@ -2,6 +2,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zechbruijn import (
     CorruptTableError,
@@ -21,7 +23,7 @@ from zechbruijn import (
 from zechbruijn import zech as zech_mod
 from zechbruijn.cycles import primitive_polynomials
 from zechbruijn.gf2poly import lfsr_step, lfsr_taps
-from zechbruijn.zech import coset_elements, num_cosets
+from zechbruijn.zech import _leader_shift, coset_elements, doubling_orbit, num_cosets
 
 from conftest import P4, P10
 
@@ -472,3 +474,31 @@ def test_seeded_propagation_equals_bruteforce_random_primitives():
         else:
             for lead, (v, _prov) in table.entries.items():
                 assert brute.resolve(lead) == v
+
+
+def _explicit_orbit(k, m):
+    """Oracle: double k mod m until an element repeats."""
+    orbit = []
+    while k not in orbit:
+        orbit.append(k)
+        k = 2 * k % m
+    return orbit
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_leader_shift_matches_explicit_orbit(data):
+    n = data.draw(st.integers(1, 16), label="n")
+    M = (1 << n) - 1
+    k = data.draw(st.integers(0, M - 1), label="k")
+    orbit = _explicit_orbit(k, M)
+    lead = min(orbit)
+    assert _leader_shift(k, M) == (lead, orbit.index(lead), len(orbit))
+    assert coset_leader(k, n) == (lead, len(orbit))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 500), st.integers(0, 10**6))
+def test_doubling_orbit_matches_explicit_orbit(half, x):
+    m = 2 * half + 1    # cycle moduli divide 2^n - 1, so they are odd
+    assert doubling_orbit(x, m) == _explicit_orbit(x % m, m)
