@@ -13,7 +13,6 @@ from .conjugacy import (
     pair_at,
     pair_dump_line,
     pairs_from_coset,
-    zero_cycle_pair,
 )
 from .crossjoin import (
     CrossJoinPair,

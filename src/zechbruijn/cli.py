@@ -41,12 +41,19 @@ EXIT_PARTIAL = 2
 EXIT_INVALID = 3
 
 
-def _emit(args, text):
+@contextlib.contextmanager
+def _output(args):
+    """The --out file, opened for writing, or standard output."""
     if args.out:
         with open(args.out, "w") as fp:
-            fp.write(text)
+            yield fp
     else:
-        sys.stdout.write(text)
+        yield sys.stdout
+
+
+def _emit(args, text):
+    with _output(args) as fp:
+        fp.write(text)
 
 
 def cmd_zech(args):
@@ -213,38 +220,21 @@ def cmd_crossjoin(args):
     return EXIT_OK
 
 
-@contextlib.contextmanager
-def _int_str_unlimited():
-    """Lift the interpreter's int-to-str digit limit (Python >= 3.11) for
-    the duration; from order 15 on the exact counts exceed 4300 digits."""
-    set_limit = getattr(sys, "set_int_max_str_digits", None)
-    if set_limit is None:
-        yield
-        return
-    old = sys.get_int_max_str_digits()
-    set_limit(0)
-    try:
-        yield
-    finally:
-        set_limit(old)
-
-
 def cmd_fryers(args):
-    rows = [(k, c) for k, c in fryers_coefficients(args.n)]
+    """Rows are written as the recurrence yields them; their exact Decimal
+    values convert to text in linear time, with no digit limit."""
     total = fryers_total(args.n, verify=args.n <= 12)
-    with _int_str_unlimited():
+    rows = fryers_coefficients(args.n)
+    with _output(args) as fp:
         if args.format == "json":
-            payload = {
-                "n": args.n,
-                "coefficients": {str(k): str(c) for k, c in rows},
-                "total": str(total),
-            }
-            text = json.dumps(payload, sort_keys=True) + "\n"
+            payload = {"n": args.n, "coefficients": {str(k): c for k, c in rows},
+                       "total": total}
+            json.dump(payload, fp, sort_keys=True, default=str)
+            fp.write("\n")
         else:
-            lines = [f"N({args.n};{k}) = {c}" for k, c in rows]
-            lines.append(f"total = {total}")
-            text = "\n".join(lines) + "\n"
-    _emit(args, text)
+            for k, c in rows:
+                fp.write(f"N({args.n};{k}) = {c}\n")
+            fp.write(f"total = {total}\n")
     return EXIT_OK
 
 

@@ -57,8 +57,7 @@ class CosetPairBatch:
     cycles, `pairs_per_cycle` on each.
     """
 
-    def __init__(self, ctx, j):
-        tau_j = ctx.zech.resolve(j)
+    def __init__(self, ctx, j, tau_j):
         if j % ctx.t == tau_j % ctx.t:
             raise ValueError("coset joins a cycle to itself; no edge")
         self.ctx = ctx
@@ -90,13 +89,15 @@ class CosetPairBatch:
             )
 
 
-def pairs_from_coset(ctx, j):
+def pairs_from_coset(ctx, j, tau_j=None):
     """Batch of conjugate pairs for coset D_j, or None when j and tau(j)
-    land on the same cycle (no edge)."""
-    tau_j = ctx.zech.resolve(j)
+    land on the same cycle (no edge). `tau_j` saves the lookup when the
+    caller has already resolved it."""
+    if tau_j is None:
+        tau_j = ctx.zech.resolve(j)
     if j % ctx.t == tau_j % ctx.t:
         return None
-    return CosetPairBatch(ctx, j)
+    return CosetPairBatch(ctx, j, tau_j)
 
 
 def cyclotomic_numbers(ctx):
@@ -125,13 +126,6 @@ def cyclotomic_numbers(ctx):
     for k in range(1, M):
         counts[k % t][zech.resolve(k) % t] += 1
     return counts
-
-
-def zero_cycle_pair(ctx):
-    """The unique pair joining the zero cycle to u_0: (0, phi(alpha^0))."""
-    return ConjugatePair(
-        0, 0, CyclePos(ZERO_CYCLE, 0, 0), cycle_position(ctx, 0)
-    )
 
 
 def pair_dump_line(pair):

@@ -9,17 +9,20 @@ coefficients count how many distinct feedback functions each round of
 cross-joins can reach.
 """
 
+import decimal
 import math
 import random
-from dataclasses import dataclass
+from itertools import repeat
+from typing import NamedTuple
+
+import numpy as np
 
 from .gf2poly import degree, lfsr_state_at, poly_to_set_notation, seq_windows
 from .joining import Anf, NlfsrFeedback, anf_bits, pair_product
 from .zech import MissingEntryError, build_zech_table
 
 
-@dataclass(frozen=True)
-class CrossJoinPair:
+class CrossJoinPair(NamedTuple):
     """A cross-join pair: tails A != B with the four states interleaved.
 
     For m-sequence-derived pairs the exponents a < b < tau(a) < tau(b) are
@@ -119,32 +122,39 @@ def random_crossjoin(p, zech=None, seed=None, ab=None, max_tries=10**6):
     return pair, feedback, provenance
 
 
+# A-rows x B-tails compared per block of the interleave test
+_BLOCK_CELLS = 1 << 18
+
+
 def enumerate_crossjoin_pairs(seq, n=None):
-    """All cross-join pairs of a de Bruijn sequence.
+    """All cross-join pairs of a de Bruijn sequence, by tail A, then B.
 
     Indexes every n-window once, then tests each couple of conjugate pairs
-    for the interleaved cyclic order. Input failing the window test is a
-    domain error.
+    for the interleaved cyclic order, a block of A tails against all B
+    tails at a time. Input failing the window test is a domain error.
     """
     if n is None:
         n = (len(seq) - 1).bit_length()
     N = len(seq)
-    pos = [None] * (1 << n)     # every slot fills iff the windows are distinct
+    # every slot fills iff the windows are distinct
+    pos = np.full(1 << n, -1, dtype=np.int32 if n < 31 else np.int64)
     if N == 1 << n:
-        for j, w in enumerate(seq_windows(seq, n)):
-            pos[w] = j
-    if None in pos:
+        pos[seq_windows(seq, n)] = np.arange(N)
+    if (pos < 0).any():
         raise ValueError("input is not a de Bruijn sequence of this order")
-    out = []
     half = 1 << (n - 1)
-    for A in range(half):
-        pa0, pa1 = pos[A << 1], pos[(A << 1) | 1]
-        qa = (pa1 - pa0) % N
-        for B in range(A + 1, half):
-            q0 = (pos[B << 1] - pa0) % N
-            q1 = (pos[(B << 1) | 1] - pa0) % N
-            if (q0 < qa) != (q1 < qa):
-                out.append(CrossJoinPair(n, A << 1, B << 1))
+    p0, p1 = pos[0::2], pos[1::2]   # positions of (0, T) and (1, T), by tail T
+    qa = (p1 - p0) % N
+    tails = np.arange(half)
+    rows = max(1, _BLOCK_CELLS // half)
+    out = []
+    for lo in range(0, half, rows):
+        A = tails[lo:lo + rows, None]
+        pa0, lim = p0[A], qa[A]
+        # B interleaves A iff exactly one of its states falls between A's
+        hit = ((p0 - pa0) % N < lim) != ((p1 - pa0) % N < lim)
+        ai, bi = np.nonzero(hit & (tails > A))
+        out += map(CrossJoinPair, repeat(n), ((ai + lo) << 1).tolist(), (bi << 1).tolist())
     return out
 
 
@@ -162,27 +172,49 @@ def fryers_coefficient(n, k):
     return math.comb(half, k) // half
 
 
+# exact integer arithmetic in decimal: no rounding, no overflow
+_EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
+                         Emin=decimal.MIN_EMIN)
+
+
+class ExactInt(decimal.Decimal):
+    """An exact integer held as a Decimal.
+
+    str() is linear in the digits (int's is quadratic, and capped at 4300
+    digits), and sums stay exact where the thread's decimal context would
+    round them to its precision.
+    """
+    __slots__ = ()
+
+    def __add__(self, other):
+        return ExactInt(_EXACT.add(self, other))
+
+    __radd__ = __add__
+
+
 def fryers_coefficients(n):
-    """Yield (k, coefficient) for odd k, by incremental binomial ratios."""
+    """Yield (k, coefficient) for odd k, as ExactInt, by the ratio
+    N(k + 2) / N(k) = (h - k)(h - k - 1) / ((k + 1)(k + 2)), h = 2^(n-1);
+    the integer division is exact, since N(k + 2) is an integer."""
     if n < 2:
         raise ValueError("order must be at least 2")
     half = 1 << (n - 1)
-    comb = half  # binom(half, 1)
+    c = ExactInt(1)
     for k in range(1, half, 2):
-        yield k, comb // half
-        if k + 2 < half:
-            comb = comb * (half - k) * (half - k - 1) // ((k + 1) * (k + 2))
+        yield k, c
+        c = ExactInt(_EXACT.divide_int(_EXACT.multiply(c, (half - k) * (half - k - 1)),
+                                       (k + 1) * (k + 2)))
 
 
 def fryers_total(n, verify=None):
-    """Total count of order-n de Bruijn sequences: 2^(2^(n-1) - n).
+    """Total count of order-n de Bruijn sequences: 2^(2^(n-1) - n), as ExactInt.
 
     With verify (default for n <= 14) the coefficient sum is recomputed
     exactly and checked against the closed form.
     """
     if n < 2:
         raise ValueError("order must be at least 2")
-    total = 1 << ((1 << (n - 1)) - n)
+    total = ExactInt(_EXACT.power(2, (1 << (n - 1)) - n))
     if verify is None:
         verify = n <= 14
     if verify:
@@ -213,6 +245,7 @@ def crossjoin_bfs(seq, depth, budget=None):
     returns (set of Anf, truncated flag).
     """
     n = (len(seq) - 1).bit_length()
+    products = [pair_product(n, tail << 1) for tail in range(1 << (n - 1))]
     start = feedback_of_debruijn(seq, n)
     seen = {start.key(): start}
     frontier = [start]
@@ -227,9 +260,10 @@ def crossjoin_bfs(seq, depth, budget=None):
             expanded += 1
             bits = anf_bits(h, 0, 1 << n)
             for pair in enumerate_crossjoin_pairs(bits, n):
-                g = apply_crossjoin(h, pair)
-                if g.key() not in seen:
-                    seen[g.key()] = g
+                g = h ^ products[pair.tail_a] ^ products[pair.tail_b]
+                key = g.key()
+                if key not in seen:
+                    seen[key] = g
                     nxt.append(g)
         if truncated or not nxt:
             break

@@ -146,10 +146,16 @@ def poly_to_set_notation(p):
 
 
 def poly_from_set_notation(text):
-    """Parse "n=10;{3}" (middle exponents; x^n and 1 implicit) or 0x-hex."""
+    """Parse "n=10;{3}" (middle exponents; x^n and 1 implicit) or 0x-hex.
+
+    A polynomial of degree < 1 drives no register and is a domain error.
+    """
     text = text.strip()
     if text.lower().startswith("0x"):
-        return int(text, 16)
+        p = int(text, 16)
+        if degree(p) < 1:
+            raise ValueError(f"polynomial {text!r} has degree {degree(p)}; need degree >= 1")
+        return p
     try:
         head, mids = text.split(";")
         n = int(head.split("=")[1])
@@ -160,6 +166,8 @@ def poly_from_set_notation(text):
         exps = [int(e) for e in inner.split(",")] if inner else []
     except (ValueError, IndexError):
         raise ValueError(f"cannot parse polynomial {text!r}") from None
+    if n < 1:
+        raise ValueError(f"polynomial {text!r} has degree {n}; need degree >= 1")
     if any(e <= 0 or e >= n for e in exps):
         raise ValueError(f"middle exponents of {text!r} must lie in (0, n)")
     return poly_from_exponents([n, 0] + exps)

@@ -183,12 +183,12 @@ def _coset_batches(ctx, js):
         if lead in covered:
             continue
         try:
-            batch = pairs_from_coset(ctx, j)
-            lead_tau, _ = coset_leader(ctx.zech.resolve(j), ctx.n)
+            tau_j = ctx.zech.resolve(j)
         except MissingEntryError:
             continue
         covered.add(lead)
-        covered.add(lead_tau)
+        covered.add(coset_leader(tau_j, ctx.n)[0])
+        batch = pairs_from_coset(ctx, j, tau_j)
         if batch is not None:
             yield batch
 

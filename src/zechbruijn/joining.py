@@ -74,15 +74,9 @@ class Anf:
     def __str__(self):
         if not self.monos:
             return "0"
-        def key(m):
-            return tuple(i for i in range(self.n) if (m >> i) & 1)
-        parts = []
-        for m in sorted(self.monos, key=key):
-            if m == 0:
-                parts.append("1")
-            else:
-                parts.append("*".join(f"x{i}" for i in range(self.n) if (m >> i) & 1))
-        return " + ".join(parts)
+        # each monomial's variable indices: its sort key and its text
+        terms = sorted(tuple(i for i in range(self.n) if (m >> i) & 1) for m in self.monos)
+        return " + ".join("*".join(f"x{i}" for i in t) if t else "1" for t in terms)
 
     __repr__ = __str__
 

@@ -1,4 +1,5 @@
 import json
+import math
 import sys
 
 import pytest
@@ -197,6 +198,30 @@ def test_fryers_order15_exceeds_int_str_limit(capsys):
         finally:
             sys.set_int_max_str_digits(before)
     assert json.loads(out)["total"] == expected
+
+
+def test_fryers_order16_rows_and_total(capsys):
+    code, out, _err = run(capsys, "fryers", "--n", "16")
+    assert code == 0
+    lines = out.splitlines()
+    half = 1 << 15
+    assert len(lines) == half // 2 + 1
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        for k in (1, half // 2 - 1, half // 2 + 1, half - 1):
+            want = str(math.comb(half, k) // half)
+            assert lines[k // 2] == f"N(16;{k}) = {want}"
+        assert lines[-1] == f"total = {2 ** (half - 16)}"
+    finally:
+        sys.set_int_max_str_digits(before)
+
+
+@pytest.mark.parametrize("p, deg", [("0x0", -1), ("0x1", 0), ("n=0;{}", 0)])
+def test_polynomial_of_degree_below_one_is_rejected(capsys, p, deg):
+    code, out, err = run(capsys, "debruijn", "--p", p, "--t", "1")
+    assert code == 3 and out == ""
+    assert err == f"error: polynomial {p!r} has degree {deg}; need degree >= 1\n"
 
 
 def test_cyclotomic_matrix(capsys):

@@ -1,7 +1,10 @@
+from decimal import Decimal
+
 import pytest
 
 from zechbruijn import (
     Anf,
+    CrossJoinPair,
     NlfsrFeedback,
     anf_bits,
     apply_crossjoin,
@@ -13,6 +16,7 @@ from zechbruijn import (
     fryers_total,
     insert_zero,
     is_debruijn,
+    is_primitive,
     lfsr_bits,
     poly_from_set_notation,
     random_crossjoin,
@@ -51,6 +55,30 @@ def count_crossjoin_pairs_naive(seq, n):
             if marks in (["a", "b", "a", "b"], ["b", "a", "b", "a"]):
                 count += 1
     return count
+
+
+def enumerate_crossjoin_pairs_loop(seq, n):
+    """Oracle: the pairwise double loop over tails A < B (the library runs
+    the same interleave test as array work)."""
+    N = len(seq)
+    pos = [None] * (1 << n)
+    for j, w in enumerate(seq_windows(seq, n)):
+        pos[w] = j
+    out = []
+    half = 1 << (n - 1)
+    for A in range(half):
+        pa0, pa1 = pos[A << 1], pos[(A << 1) | 1]
+        qa = (pa1 - pa0) % N
+        for B in range(A + 1, half):
+            q0 = (pos[B << 1] - pa0) % N
+            q1 = (pos[(B << 1) | 1] - pa0) % N
+            if (q0 < qa) != (q1 < qa):
+                out.append(CrossJoinPair(n, A << 1, B << 1))
+    return out
+
+
+# a primitive polynomial for each order 2..10
+PRIMITIVE = (0b111, 0b1011, 0x13, 0x25, 0x43, 0x83, 0x11d, 0x211, 0x409)
 
 
 def test_order5_walkthrough_chain():
@@ -160,6 +188,65 @@ def test_enumerate_counts():
         enumerate_crossjoin_pairs([0, 1] * 8)
 
 
+def _assert_same_pairs(seq, n):
+    got = enumerate_crossjoin_pairs(seq, n)
+    want = enumerate_crossjoin_pairs_loop(seq, n)
+    assert [(q.n, q.alpha, q.beta) for q in got] == \
+        [(q.n, q.alpha, q.beta) for q in want]
+    assert got == want
+    return got
+
+
+def test_enumerate_matches_loop_oracle_on_m_sequences():
+    for p in PRIMITIVE:
+        n = p.bit_length() - 1
+        assert is_primitive(p)
+        pairs = _assert_same_pairs(insert_zero(lfsr_bits(p, 1, (1 << n) - 1)), n)
+        # an m-sequence has N(n;3) cross-join pairs (Helleseth and Klove)
+        assert len(pairs) == fryers_coefficient(n, 3)
+        assert all(isinstance(q, CrossJoinPair) and q.a is None for q in pairs)
+
+
+def test_enumerate_matches_loop_oracle_on_crossjoined_sequences():
+    # de Bruijn sequences that are not m-sequences: one and two
+    # cross-joins away from the modified m-sequence
+    for p in (0x25, 0x43, 0x11d):
+        n = p.bit_length() - 1
+        db = insert_zero(lfsr_bits(p, 1, (1 << n) - 1))
+        h = feedback_of_debruijn(db, n)
+        first = enumerate_crossjoin_pairs(db, n)
+        for pair in (first[0], first[len(first) // 2], first[-1]):
+            g = apply_crossjoin(h, pair)
+            seq = anf_bits(g, 0, 1 << n)
+            assert is_debruijn(seq, n)
+            second = _assert_same_pairs(seq, n)
+            seq2 = anf_bits(apply_crossjoin(g, second[len(second) // 3]), 0, 1 << n)
+            _assert_same_pairs(seq2, n)
+
+
+def test_enumerate_blocks_cover_every_tail(monkeypatch):
+    # blocks of a few A rows give the same list as one block
+    import zechbruijn.crossjoin as cj
+
+    db = insert_zero(lfsr_bits(0x83, 1, 127))
+    whole = enumerate_crossjoin_pairs(db, 7)
+    monkeypatch.setattr(cj, "_BLOCK_CELLS", 64 * 3)   # 3 rows of 64 tails
+    assert enumerate_crossjoin_pairs(db, 7) == whole
+    monkeypatch.setattr(cj, "_BLOCK_CELLS", 1)        # one row per block
+    assert enumerate_crossjoin_pairs(db, 7) == whole
+
+
+def test_crossjoin_pair_record():
+    pair = CrossJoinPair(5, 0b11010, 0b10110)
+    assert (pair.a, pair.b, pair.tau_a, pair.tau_b) == (None,) * 4
+    assert (pair.tail_a, pair.tail_b) == (0b1101, 0b1011)
+    assert pair == CrossJoinPair(5, 0b11010, 0b10110, None, None, None, None)
+    full = CrossJoinPair(5, 0b11010, 0b10110, a=7, b=21, tau_a=22, tau_b=25)
+    assert full.b == 21 and full.tau_b == 25
+    with pytest.raises(AttributeError):
+        full.a = 3
+
+
 def test_enumerated_pairs_regenerate_debruijn():
     db4 = insert_zero(lfsr_bits(P4, 1, 15))
     h = feedback_of_debruijn(db4, 4)
@@ -237,6 +324,25 @@ def test_fryers_iterator_matches_direct():
     for n in (4, 7, 10):
         for k, c in fryers_coefficients(n):
             assert c == fryers_coefficient(n, k)
+
+
+def test_fryers_rows_match_direct_binomials():
+    for n in range(2, 13):
+        rows = list(fryers_coefficients(n))
+        assert [k for k, _ in rows] == list(range(1, 1 << (n - 1), 2))
+        for k, c in rows:
+            assert c == fryers_coefficient(n, k)
+            assert str(c) == str(fryers_coefficient(n, k))
+
+
+def test_fryers_values_are_exact_decimals():
+    # the sum runs far past the default 28-digit decimal precision
+    row = [c for _k, c in fryers_coefficients(13)]
+    assert all(isinstance(c, Decimal) for c in row)
+    total = fryers_total(13, verify=False)
+    assert isinstance(total, Decimal)
+    assert sum(row) == total == 2 ** (2 ** 12 - 13)
+    assert str(sum(row)) == str(total) and "E" not in str(total)
 
 
 def test_bfs_order4_finds_all_sixteen():

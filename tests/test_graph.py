@@ -133,6 +133,28 @@ def test_connected_subgraph_reaches_everything(ctx10):
     assert count_spanning_trees(g) > 0
 
 
+def test_coset_batches_resolve_each_coset_once(ctx10, monkeypatch):
+    # one lookup per coset reached, shared by its batch and its mirror
+    from zechbruijn.graph import _coset_batches
+
+    zech = ctx10.zech
+    calls = []
+    resolve = zech.resolve
+
+    def counting(k):
+        calls.append(k)
+        return resolve(k)
+
+    monkeypatch.setattr(zech, "resolve", counting)
+    batches = list(_coset_batches(ctx10, range(1, ctx10.modulus)))
+    assert len(batches) == 51
+    assert len(calls) == len(set(calls)) == 55
+    assert all(b.tau_j == resolve(b.j) for b in batches)
+    calls.clear()
+    assert connected_subgraph(ctx10).unreached() == []
+    assert len(calls) == len(set(calls))
+
+
 def test_full_graph_count_order10(ctx10):
     # the published pipeline figure for this parameter set is the
     # spanning-tree count of the complete adjacency graph

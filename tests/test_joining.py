@@ -41,6 +41,31 @@ def test_anf_parse_and_str():
     assert str(Anf.parse("1 + x0", 3)) == "1 + x0"
 
 
+def anf_str_oracle(anf):
+    """The text of an Anf with monomials ordered by a separate sort key."""
+    if not anf.monos:
+        return "0"
+    def key(m):
+        return tuple(i for i in range(anf.n) if (m >> i) & 1)
+    parts = []
+    for m in sorted(anf.monos, key=key):
+        if m == 0:
+            parts.append("1")
+        else:
+            parts.append("*".join(f"x{i}" for i in range(anf.n) if (m >> i) & 1))
+    return " + ".join(parts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 12).flatmap(
+    lambda n: st.tuples(st.just(n), st.sets(st.integers(0, (1 << n) - 1), max_size=80))))
+def test_anf_str_matches_sort_key_oracle(case):
+    n, monos = case
+    anf = Anf(n, monos)
+    assert str(anf) == anf_str_oracle(anf)
+    assert Anf.parse(str(anf), n) == anf
+
+
 def test_anf_eval_and_truth_table_roundtrip():
     rng = random.Random(1)
     for _ in range(10):
