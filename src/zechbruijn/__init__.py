@@ -6,12 +6,9 @@ product-of-irreducibles extension, with a CLI on top.
 """
 
 from .conjugacy import (
-    ConjugatePair,
     CosetPairBatch,
     conjugate_of,
     cyclotomic_numbers,
-    pair_at,
-    pair_dump_line,
     pairs_from_coset,
 )
 from .crossjoin import (
@@ -32,12 +29,9 @@ from .cycles import (
     exponent_to_state,
     find_associated_primitive,
     state_to_exponent,
-    u0_seed_state,
 )
 from .gf2poly import (
     associated_irreducible,
-    berlekamp_massey,
-    decimate,
     insert_zero,
     is_debruijn,
     is_irreducible,
@@ -45,9 +39,7 @@ from .gf2poly import (
     lfsr_bits,
     lfsr_state_at,
     poly_from_set_notation,
-    poly_mul_mod,
     poly_to_set_notation,
-    remove_zero,
     seq_from_hex,
     seq_to_hex,
 )
@@ -62,7 +54,6 @@ from .graph import (
     count_spanning_trees,
     deterministic_spanning_tree,
     export_dot,
-    find_almost_star,
     sample_spanning_tree,
 )
 from .joining import (
@@ -74,7 +65,6 @@ from .joining import (
     anf_stream,
     generate_debruijn,
     join_feedback,
-    joined_feedback,
     pair_product,
     patched_lfsr_bits,
     product_conjugate,

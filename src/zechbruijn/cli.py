@@ -4,7 +4,7 @@ Subcommands: zech (table construction), debruijn (full cycle-joining
 pipeline), certify (star / almost-star certificates), crossjoin, fryers,
 cyclotomic. Outputs are deterministic: the same arguments and seeds give
 byte-identical files. Exit codes: 0 success, 2 partial result (incomplete
-table, disconnected graph), 3 invalid input.
+table, disconnected graph), 3 invalid input, usage errors included.
 """
 
 import argparse
@@ -33,7 +33,7 @@ from .graph import (
     log2_int,
     sample_spanning_tree,
 )
-from .joining import generate_debruijn, tree_feedback
+from .joining import MATERIALIZE_CAP, generate_debruijn, tree_feedback
 from .zech import MissingEntryError, build_zech_table
 
 EXIT_OK = 0
@@ -105,8 +105,14 @@ def _check_count(count, least):
 
 def cmd_debruijn(args):
     _check_count(args.count, 0)   # 0: certificate only, no sequence
+    if args.materialize_cap > MATERIALIZE_CAP:
+        raise ValueError(f"--materialize-cap {args.materialize_cap} is above the "
+                         f"sequence generation cap {MATERIALIZE_CAP}")
     p = poly_from_set_notation(args.p)
     n = degree(p)
+    if args.format == "hex" and n > args.materialize_cap:
+        raise ValueError(f"--format hex writes sequences, but n = {n} is above "
+                         f"--materialize-cap {args.materialize_cap}")
     ctx = _build_ctx(args, p, args.t)
     g = connected_subgraph(ctx)
     missing = g.unreached()
@@ -115,7 +121,7 @@ def cmd_debruijn(args):
               file=sys.stderr)
         return EXIT_PARTIAL
     if args.format == "dot":
-        _emit(args, export_dot(g, simplified=True))
+        _emit(args, export_dot(g))
         return EXIT_OK
     count_trees, log2 = count_spanning_trees(g), None
     if count_trees:
@@ -251,18 +257,27 @@ def cmd_cyclotomic(args):
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 3, invalid input: argparse's 2 means a partial
+    result here. Subparsers are made of the same class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INVALID, f"{self.prog}: error: {message}\n")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="zechbruijn",
         description="Binary de Bruijn sequences by cycle joining and "
                     "cross-joining, driven by Zech logarithm tables.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp):
+    def add_common(sp, formats=("text", "json")):
         sp.add_argument("--out", help="output file (default stdout)")
-        sp.add_argument("--format", default="text",
-                        choices=["text", "json", "dot", "hex"])
+        if formats:
+            sp.add_argument("--format", default="text", choices=formats)
 
     sp = sub.add_parser("zech", help="build a Zech logarithm table file")
     sp.add_argument("--p", required=True, help='polynomial, e.g. "n=10;{3}" or 0x409')
@@ -273,7 +288,7 @@ def build_parser():
     sp.add_argument("--cap", type=int, default=26)
     sp.add_argument("--budget", type=int, default=None,
                     help="chain-sweep candidate budget (large degrees)")
-    add_common(sp)
+    add_common(sp, formats=())
     sp.set_defaults(func=cmd_zech)
 
     sp = sub.add_parser("debruijn", help="generate de Bruijn sequences")
@@ -283,8 +298,8 @@ def build_parser():
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--mode", default="auto",
                     choices=["auto", "bruteforce", "propagate"])
-    sp.add_argument("--materialize-cap", type=int, default=26)
-    add_common(sp)
+    sp.add_argument("--materialize-cap", type=int, default=MATERIALIZE_CAP)
+    add_common(sp, formats=("text", "json", "dot", "hex"))
     sp.set_defaults(func=cmd_debruijn)
 
     sp = sub.add_parser("certify", help="star / almost-star certificates")

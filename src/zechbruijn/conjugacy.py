@@ -7,21 +7,11 @@ counting pairs between two cycles is the cyclotomic number computation.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .cycles import ZERO_CYCLE, CyclePos, cycle_position
-from .zech import ResourceCapError, coset_leader, doubling_orbit
-
-
-@dataclass(frozen=True)
-class ConjugatePair:
-    """States phi(alpha^k) and phi(alpha^tau(k)), with their positions."""
-    k: int
-    tau_k: int
-    left: CyclePos
-    right: CyclePos
+from .zech import coset_leader, doubling_orbit
 
 
 def conjugate_of(ctx, pos):
@@ -43,12 +33,6 @@ def conjugate_of(ctx, pos):
     return cycle_position(ctx, ctx.zech.resolve(k))
 
 
-def pair_at(ctx, k):
-    """The conjugate pair anchored at exponent k."""
-    tk = ctx.zech.resolve(k)
-    return ConjugatePair(k, tk, cycle_position(ctx, k), cycle_position(ctx, tk))
-
-
 class CosetPairBatch:
     """All conjugate pairs induced by one Zech entry, grouped by cycle pair.
 
@@ -58,8 +42,6 @@ class CosetPairBatch:
     """
 
     def __init__(self, ctx, j, tau_j):
-        if j % ctx.t == tau_j % ctx.t:
-            raise ValueError("coset joins a cycle to itself; no edge")
         self.ctx = ctx
         self.j = j
         self.tau_j = tau_j
@@ -80,13 +62,6 @@ class CosetPairBatch:
         """The distinct (left cycle, right cycle) index pairs."""
         t = self.ctx.t
         return [(a % t, b % t) for a, b in self.exponent_pairs()[:self.cycle_pair_count]]
-
-    def __iter__(self):
-        """Yield all n_j pairs, locating each one only when it is reached."""
-        for a, b in self.exponent_pairs():
-            yield ConjugatePair(
-                a, b, cycle_position(self.ctx, a), cycle_position(self.ctx, b)
-            )
 
 
 def pairs_from_coset(ctx, j, tau_j=None):
@@ -111,24 +86,16 @@ def cyclotomic_numbers(ctx):
     if zech is None or not zech.complete:
         raise ValueError("cyclotomic numbers need a complete Zech table")
     t, M = ctx.t, ctx.modulus
-    counts = [[0] * t for _ in range(t)]
-    try:
-        arr = zech.to_array()
-    except ResourceCapError:
-        arr = None
-    if arr is not None:
-        k = np.arange(1, M, dtype=np.int64)
-        flat = np.bincount((k % t) * t + (arr[1:] % t), minlength=t * t)
-        for i in range(t):
-            for j in range(t):
-                counts[i][j] = int(flat[i * t + j])
-        return counts
-    for k in range(1, M):
-        counts[k % t][zech.resolve(k) % t] += 1
-    return counts
-
-
-def pair_dump_line(pair):
-    """Dump format: "k tau(k) i j l m" (exponents, then both positions)."""
-    return (f"{pair.k} {pair.tau_k} {pair.left.cycle} {pair.left.offset} "
-            f"{pair.right.cycle} {pair.right.offset}")
+    # walk every coset's orbit (k, tau(k)) -> (2k, 2 tau(k)) in step, one
+    # bincount per doubling; a coset drops out when it is back at its leader
+    leads = np.fromiter(zech.entries, dtype=np.int64, count=len(zech.entries))
+    k = leads
+    v = np.fromiter((tau for tau, _ in zech.entries.values()), dtype=np.int64,
+                    count=len(leads))
+    counts = np.zeros(t * t, dtype=np.int64)
+    while len(k):
+        counts += np.bincount(k % t * t + v % t, minlength=t * t)
+        k, v = 2 * k % M, 2 * v % M
+        open_ = k != leads
+        k, v, leads = k[open_], v[open_], leads[open_]
+    return counts.reshape(t, t).tolist()

@@ -100,10 +100,6 @@ class CycleCtx:
         self.seed = u0_seed_state(p, t)
         self.xt = poly_powmod(2, t, p)
 
-    def initial_states(self):
-        """The t states phi(alpha^0), ..., phi(alpha^(t-1))."""
-        return [exponent_to_state(self, i) for i in range(self.t)]
-
     def u_sequence(self, i):
         """The full cycle u_i as a bit list of period e (small n only)."""
         bits = lfsr_bits(self.p, self.seed, self.modulus)
@@ -112,26 +108,6 @@ class CycleCtx:
     def __repr__(self):
         return (f"CycleCtx(n={self.n}, t={self.t}, e={self.e}, "
                 f"p={poly_to_set_notation(self.p)}, f={poly_to_set_notation(self.f)})")
-
-    def to_line(self):
-        """One-line serialization: "ctx v1 n t p f seed"."""
-        return (f"ctx v1 {self.n} {self.t} {poly_to_set_notation(self.p)} "
-                f"{poly_to_set_notation(self.f)} 0x{self.seed:x}")
-
-    @classmethod
-    def from_line(cls, line, zech=None):
-        tokens = line.split()
-        if tokens[:2] != ["ctx", "v1"]:
-            raise ValueError("not a ctx v1 line")
-        n, t = int(tokens[2]), int(tokens[3])
-        from .gf2poly import poly_from_set_notation
-
-        p = poly_from_set_notation(tokens[4])
-        f = poly_from_set_notation(tokens[5])
-        ctx = cls(p, t, zech=zech, f=f)
-        if ctx.n != n or ctx.seed != int(tokens[6], 16):
-            raise ValueError("ctx line inconsistent with recomputed context")
-        return ctx
 
 
 def exponent_to_state(ctx, k):

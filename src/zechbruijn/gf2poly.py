@@ -7,8 +7,6 @@ arbitrary-precision ints throughout (degrees up to several hundred are in
 normal range, so machine-word exponents would overflow).
 """
 
-import math
-
 import numpy as np
 
 from .factors import mersenne_prime_factors
@@ -43,20 +41,6 @@ def poly_mod(a, m):
         a ^= m << (da - dm)
         da = degree(a)
     return a
-
-
-def poly_divmod(a, m):
-    """Quotient and remainder of polynomial a divided by m."""
-    if m == 0:
-        raise ZeroDivisionError("division by zero polynomial")
-    dm = degree(m)
-    q = 0
-    da = degree(a)
-    while da >= dm:
-        q ^= 1 << (da - dm)
-        a ^= m << (da - dm)
-        da = degree(a)
-    return q, a
 
 
 def poly_gcd(a, b):
@@ -293,15 +277,6 @@ def berlekamp_massey(bits):
     return out
 
 
-def decimate(bits, d, shift=0):
-    """(L^shift s)^(d): every d-th bit starting at `shift`, one full period."""
-    if d < 1:
-        raise ValueError("decimation step must be >= 1")
-    N = len(bits)
-    period = N // math.gcd(d, N)
-    return [bits[(shift + d * i) % N] for i in range(period)]
-
-
 def associated_irreducible(p, t):
     """Irreducible polynomial with root alpha^t, alpha a root of primitive p.
 
@@ -350,17 +325,6 @@ def seq_windows_distinct(bits, n):
 def is_debruijn(bits, n):
     """Window test: period 2^n and every n-tuple occurring exactly once."""
     return len(bits) == (1 << n) and seq_windows_distinct(bits, n)
-
-
-def remove_zero(bits, n=None):
-    """Drop one 0 from the all-zero n-run: de Bruijn -> modified de Bruijn."""
-    if n is None:
-        n = (len(bits) - 1).bit_length()
-    N = len(bits)
-    for j in range(N):
-        if all(bits[(j + i) % N] == 0 for i in range(n)):
-            return bits[:j] + bits[j + 1:]
-    raise ValueError(f"no run of {n} zeros found")
 
 
 def insert_zero(bits):

@@ -105,13 +105,13 @@ class AdjSubgraph:
 
         ctx = batch.ctx
         t = ctx.t
+        # a batch has j != tau(j) mod t, and doubling mod an odd t keeps
+        # the two apart: no pair lands both ends on one cycle
         for a, b in batch.exponent_pairs()[:batch.cycle_pair_count]:
-            ca, cb = a % t, b % t
-            if ca != cb:
-                tail = exponent_to_state(ctx, a) >> 1
-                self.add_edge(ca, cb, batch.pairs_per_cycle,
-                              rep=(min(a, b), max(a, b)),
-                              rep_weight=tail.bit_count())
+            tail = exponent_to_state(ctx, a) >> 1
+            self.add_edge(a % t, b % t, batch.pairs_per_cycle,
+                          rep=(min(a, b), max(a, b)),
+                          rep_weight=tail.bit_count())
 
     def multiplicity(self, ci, cj):
         u, v = self._vertex(ci), self._vertex(cj)
@@ -363,15 +363,6 @@ def certify_almost_star(p, t, ell, z_max=2000, zech=None):
     return _certify_walk(p, f, t, zech.resolve, ell, z_max)
 
 
-def find_almost_star(p, t, z_max=2000, zech=None):
-    """First center ell = 1, 2, ... with an almost-star certificate."""
-    for ell in range(1, t):
-        cert = certify_almost_star(p, t, ell, z_max=z_max, zech=zech)
-        if cert.found:
-            return cert
-    return None
-
-
 # ---------------------------------------------------------------------------
 # spanning-tree selection
 
@@ -397,29 +388,12 @@ class SpanningTree:
         return True
 
 
-def sample_spanning_tree(g, seed=0, method="wilson"):
-    """Random spanning tree, deterministic by seed.
-
-    'wilson' is uniform over spanning trees of the multigraph; 'kruskal'
-    (seeded shuffle + union-find) is the fast non-uniform fallback.
-    """
+def sample_spanning_tree(g, seed=0):
+    """Uniform random spanning tree of the multigraph (Wilson's
+    algorithm), deterministic by seed."""
     if not g.is_connected():
         raise ValueError("graph is not connected")
-    rng = random.Random(seed)
-    if method == "kruskal":
-        order = list(g.mult.items())
-        rng.shuffle(order)
-        chosen = _kruskal(g, order)
-    elif method == "wilson":
-        chosen = _wilson(g, rng)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    edges = []
-    for u, v in chosen:
-        ci = None if u == 0 else u - 1
-        cj = None if v == 0 else v - 1
-        edges.append((ci, cj, g.reps.get((u, v))))
-    return SpanningTree(g.t, edges)
+    return _tree_of(g, _wilson(g, random.Random(seed)))
 
 
 def deterministic_spanning_tree(g):
@@ -433,8 +407,11 @@ def deterministic_spanning_tree(g):
         rep = g.reps.get((u, v), (1 << 62, 1 << 62))
         return (0 if u <= 1 else 1, rep, u, v)
 
-    order = sorted(g.mult.items(), key=key)
-    chosen = _kruskal(g, order)
+    return _tree_of(g, _kruskal(g, sorted(g.mult.items(), key=key)))
+
+
+def _tree_of(g, chosen):
+    """SpanningTree of the vertex pairs `chosen`, with their representatives."""
     edges = []
     for u, v in chosen:
         ci = None if u == 0 else u - 1
@@ -489,18 +466,16 @@ def _wilson(g, rng):
     return sorted(chosen)
 
 
-def export_dot(g, simplified=False, name="adjacency"):
-    """DOT text; simplified collapses parallel edges into one labeled edge."""
+def export_dot(g):
+    """DOT text, parallel edges collapsed into one edge labeled with the
+    multiplicity."""
     def label(v):
         return '"[0]"' if v == 0 else f'"[u{v - 1}]"'
 
-    lines = [f"graph {name} {{"]
+    lines = ["graph adjacency {"]
     for v in range(g.size):
         lines.append(f"  {label(v)};")
     for u, v, m in g.edges():
-        if simplified:
-            lines.append(f'  {label(u)} -- {label(v)} [label="{m}"];')
-        else:
-            lines.extend(f"  {label(u)} -- {label(v)};" for _ in range(m))
+        lines.append(f'  {label(u)} -- {label(v)} [label="{m}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

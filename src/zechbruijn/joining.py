@@ -52,7 +52,7 @@ class Anf:
 
     @classmethod
     def parse(cls, text, n):
-        """Parse "x0 + x1*x3 + 1" style text."""
+        """Parse "x0 + x1*x3 + 1" style text over x_0 ... x_{n-1}."""
         monos = set()
         text = text.strip()
         if text in ("", "0"):
@@ -65,8 +65,8 @@ class Anf:
             mask = 0
             for var in term.split("*"):
                 var = var.strip()
-                if not var.startswith("x"):
-                    raise ValueError(f"bad ANF term {term!r}")
+                if not (var[:1] == "x" and var[1:].isdecimal() and int(var[1:]) < n):
+                    raise ValueError(f"bad ANF term {term!r}: variables are x0 ... x{n - 1}")
                 mask |= 1 << int(var[1:])
             monos ^= {mask}
         return cls(n, monos)
@@ -157,17 +157,6 @@ def _tree_tails(ctx, tree):
     return tails
 
 
-def joined_feedback(ctx, tree):
-    """Explicit ANF of the NLFSR joining all cycles along the tree."""
-    states = []
-    for ci, cj, rep in tree.edges:
-        if ci is None or cj is None:
-            states.append(0)
-        else:
-            states.append(exponent_to_state(ctx, rep[0]))
-    return join_feedback(Anf.from_linear(ctx.f), states)
-
-
 def patched_lfsr_bits(f, tails, state, length):
     """Run the linear register of f with the tail set XORed into feedback.
 
@@ -204,12 +193,6 @@ class NlfsrFeedback:
     def n(self):
         return degree(self.p)
 
-    def eval(self, state):
-        b = (state & (self.p & ((1 << self.n) - 1))).bit_count() & 1
-        if (state >> 1) in self.tails:
-            b ^= 1
-        return b
-
     def bits(self, state, length):
         out, _ = patched_lfsr_bits(self.p, self.tails, state, length)
         return out
@@ -241,10 +224,7 @@ class NlfsrFeedback:
         cost = sum(1 << (self.n - 1 - v.bit_count()) for v in self.tails)
         if cost > max_monomials:
             raise ValueError(f"expansion needs ~{cost} monomials; over the cap")
-        anf = Anf.from_linear(self.p)
-        for v in self.tails:
-            anf = anf ^ pair_product(self.n, v << 1)
-        return anf
+        return join_feedback(Anf.from_linear(self.p), (v << 1 for v in self.tails))
 
     def __str__(self):
         taps = self.p & ((1 << self.n) - 1)
@@ -259,22 +239,18 @@ def tree_feedback(ctx, tree):
     return NlfsrFeedback(ctx.f, frozenset(_tree_tails(ctx, tree)))
 
 
-def generate_debruijn(ctx, tree, mode="materialize", cap=26):
-    """Joined de Bruijn sequence for a spanning tree of ctx's graph.
+# the largest order whose 2^n-bit sequence generate_debruijn builds
+MATERIALIZE_CAP = 26
 
-    materialize: the full 2^n bits from state 0^n, via the tail-patch fast
-    path (n <= cap). stream: a generator evaluating the joined ANF one
-    clock at a time, resumable from any n-bit state.
-    """
+
+def generate_debruijn(ctx, tree):
+    """Joined de Bruijn sequence for a spanning tree of ctx's graph: the
+    full 2^n bits from state 0^n, via the tail-patch fast path (n at most
+    MATERIALIZE_CAP)."""
     tree.validate()
-    if mode == "stream":
-        anf = joined_feedback(ctx, tree)
-        return anf_stream(anf, 0)
-    if mode != "materialize":
-        raise ValueError(f"unknown mode {mode!r}")
     n = ctx.n
-    if n > cap:
-        raise ValueError(f"refusing to materialize 2^{n} bits (cap {cap})")
+    if n > MATERIALIZE_CAP:
+        raise ValueError(f"refusing to materialize 2^{n} bits (cap {MATERIALIZE_CAP})")
     out, final = patched_lfsr_bits(ctx.f, _tree_tails(ctx, tree), 0, 1 << n)
     if final != 0:
         raise ValueError("tree did not join all cycles into one")

@@ -208,16 +208,6 @@ class ZechTable:
             arr[idx] = val
         return arr
 
-    def check(self):
-        """Verify Flip/Double/Inv consistency of every stored entry."""
-        M = self.modulus
-        for lead, (v, _) in self.entries.items():
-            if self.has(v) and self.resolve(v) != lead:
-                raise CorruptTableError(f"flip fails at {lead}")
-            inv_arg = M - lead
-            if self.has(inv_arg) and self.resolve(inv_arg) != (v - lead) % M:
-                raise CorruptTableError(f"inv fails at {lead}")
-
     # -- serialization ---------------------------------------------------------
 
     def dump(self, fp):

@@ -248,3 +248,62 @@ def test_byte_identical_reruns(tmp_path, capsys):
         assert main(["certify", "--p", "n=20;{3}", "--t", "41",
                      "--out", str(out)]) == 0
     assert cert1.read_bytes() == cert2.read_bytes()
+
+
+def usage_error(capsys, *argv):
+    """Exit code and standard error of an argparse usage error."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    return exc.value.code, capsys.readouterr().err
+
+
+def test_missing_required_flag_exits_3(capsys):
+    code, err = usage_error(capsys, "debruijn", "--p", "n=5;{2}")
+    assert code == 3
+    assert "the following arguments are required: --t" in err
+
+
+def test_unknown_subcommand_exits_3(capsys):
+    code, err = usage_error(capsys, "decimate", "--p", "n=5;{2}")
+    assert code == 3
+    assert "invalid choice: 'decimate'" in err
+
+
+def test_help_exits_0(capsys):
+    assert usage_error(capsys, "debruijn", "--help")[0] == 0
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("zech", "--p", "n=4;{1}", "--format", "json"), "unrecognized arguments: --format json"),
+    (("certify", "--p", "n=4;{1}", "--format", "hex"), "argument --format: invalid choice: 'hex'"),
+    (("crossjoin", "--p", "n=5;{2}", "--format", "hex"), "argument --format: invalid choice: 'hex'"),
+    (("fryers", "--n", "5", "--format", "dot"), "argument --format: invalid choice: 'dot'"),
+    (("cyclotomic", "--p", "n=4;{1}", "--t", "3", "--format", "dot"),
+     "argument --format: invalid choice: 'dot'"),
+])
+def test_format_a_subcommand_does_not_write_exits_3(capsys, argv, message):
+    code, err = usage_error(capsys, *argv)
+    assert code == 3 and message in err
+
+
+def _refuse_table_builds(monkeypatch):
+    def build(*_args, **_kwargs):
+        raise AssertionError("a Zech table was built")
+    monkeypatch.setattr("zechbruijn.cli.build_zech_table", build)
+
+
+def test_debruijn_hex_above_materialize_cap_exits_3(capsys, monkeypatch):
+    _refuse_table_builds(monkeypatch)
+    code, out, err = run(capsys, "debruijn", "--p", "n=10;{3}", "--t", "31",
+                         "--format", "hex", "--materialize-cap", "5")
+    assert code == 3 and out == ""
+    assert err == ("error: --format hex writes sequences, but n = 10 is above "
+                   "--materialize-cap 5\n")
+
+
+def test_materialize_cap_above_generation_cap_exits_3(capsys, monkeypatch):
+    _refuse_table_builds(monkeypatch)
+    code, out, err = run(capsys, "debruijn", "--p", "n=5;{2}", "--t", "1",
+                         "--materialize-cap", "27")
+    assert code == 3 and out == ""
+    assert err == "error: --materialize-cap 27 is above the sequence generation cap 26\n"

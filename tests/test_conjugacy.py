@@ -1,21 +1,22 @@
 import random
+from itertools import islice
 
 import pytest
 
 from zechbruijn import (
     CycleCtx,
+    associated_irreducible,
     conjugate_of,
     cycle_position,
     cyclotomic_numbers,
     exponent_to_state,
-    pair_at,
     pairs_from_coset,
     poly_from_set_notation,
     zech_bruteforce,
     zech_closure,
     zech_seed_trinomial,
 )
-from zechbruijn.cycles import ZERO_CYCLE
+from zechbruijn.cycles import ZERO_CYCLE, primitive_polynomials
 from zechbruijn.gf2poly import poly_mod, poly_mul, state_from_bits
 
 from conftest import P4, P10
@@ -62,8 +63,8 @@ def test_conjugacy_involution(ctx10):
 def test_pair_states_differ_in_first_coordinate(ctx10):
     rng = random.Random(10)
     for _ in range(50):
-        pair = pair_at(ctx10, rng.randrange(1, 1023))
-        assert pair.left.state ^ pair.right.state == 1
+        k = rng.randrange(1, 1023)
+        assert cycle_position(ctx10, k).state ^ conjugate_of(ctx10, k).state == 1
 
 
 def test_pairs_from_coset_order300():
@@ -74,9 +75,10 @@ def test_pairs_from_coset_order300():
     assert batch.nj == 300
     assert batch.cycle_pair_count == 5 and batch.pairs_per_cycle == 60
     assert batch.cycle_pairs() == [(7, 21), (14, 11), (28, 22), (25, 13), (19, 26)]
-    first = next(iter(batch))
-    assert (first.left.cycle, first.left.offset) == (7, 0)
-    assert (first.right.cycle, first.right.offset) == (21, 9)
+    a, b = batch.exponent_pairs()[0]
+    left, right = cycle_position(ctx, a), cycle_position(ctx, b)
+    assert (left.cycle, left.offset) == (7, 0)
+    assert (right.cycle, right.offset) == (21, 9)
 
 
 def test_pairs_from_coset_zero_side(ctx10):
@@ -95,20 +97,16 @@ def test_pairs_from_coset_same_cycle_signal(ctx10):
 
 def test_batch_pair_count_matches_iteration(ctx10):
     batch = pairs_from_coset(ctx10, 3)
-    pairs = list(batch)
+    pairs = batch.exponent_pairs()
     assert len(pairs) == batch.nj
     per = {}
-    for pr in pairs:
-        key = (pr.left.cycle, pr.right.cycle)
+    for a, b in pairs:
+        left, right = cycle_position(ctx10, a), cycle_position(ctx10, b)
+        assert conjugate_of(ctx10, a) == right
+        key = (left.cycle, right.cycle)
         per[key] = per.get(key, 0) + 1
     assert len(per) == batch.cycle_pair_count
     assert set(per.values()) == {batch.pairs_per_cycle}
-
-
-def test_pair_dump_format(ctx4):
-    from zechbruijn import pair_dump_line
-
-    assert pair_dump_line(pair_at(ctx4, 3)) == "3 14 0 1 2 4"
 
 
 def _field_log_table(p):
@@ -120,6 +118,28 @@ def _field_log_table(p):
         logs[x] = e
         x = poly_mod(poly_mul(x, 2), p)
     return logs
+
+
+def cyclotomic_numbers_loop(ctx):
+    """Reference: one Zech lookup per exponent k in [1, 2^n - 2]."""
+    t = ctx.t
+    counts = [[0] * t for _ in range(t)]
+    for k in range(1, ctx.modulus):
+        counts[k % t][ctx.zech.resolve(k) % t] += 1
+    return counts
+
+
+def test_cyclotomic_numbers_match_per_exponent_oracle(zech20):
+    cases = [(zech_bruteforce(poly_from_set_notation("n=16;{5,3,2}")), 85), (zech20, 205)]
+    for n in range(4, 13):
+        M = (1 << n) - 1
+        for p in islice(primitive_polynomials(n), 3):
+            table = zech_bruteforce(p)
+            cases += [(table, t) for t in range(1, M)
+                      if M % t == 0 and associated_irreducible(p, t)[1]]
+    for table, t in cases:
+        ctx = CycleCtx(table.p, t, zech=table)
+        assert cyclotomic_numbers(ctx) == cyclotomic_numbers_loop(ctx), (table.p, t)
 
 
 def test_cyclotomic_numbers_order4_against_field_oracle(ctx4):

@@ -6,20 +6,17 @@ import pytest
 from zechbruijn import (
     CycleCtx,
     associated_irreducible,
-    berlekamp_massey,
     cycle_position,
-    decimate,
     exponent_to_state,
     find_associated_primitive,
     lfsr_bits,
     state_to_exponent,
-    u0_seed_state,
     zech_bruteforce,
 )
-from zechbruijn.cycles import ZERO_CYCLE
-from zechbruijn.gf2poly import state_from_bits
+from zechbruijn.cycles import ZERO_CYCLE, u0_seed_state
+from zechbruijn.gf2poly import berlekamp_massey, state_from_bits
 
-from conftest import F4, P4, P10
+from conftest import F4, P4, P10, decimate
 
 # the full phi table of the order-4 walkthrough: exponent -> state bits
 PHI4 = {
@@ -132,14 +129,6 @@ def test_cycle_position(ctx4):
     assert cycle_position(ctx4, 0).cycle == 0
     bystate = cycle_position(ctx4, state=state_from_bits((0, 1, 1, 0)))
     assert (bystate.cycle, bystate.offset) == (0, 3)
-
-
-def test_ctx_serialization_roundtrip(ctx4, zech4):
-    line = ctx4.to_line()
-    assert line == "ctx v1 4 3 n=4;{1} n=4;{3,2,1} 0x1"
-    again = CycleCtx.from_line(line, zech=zech4)
-    assert (again.p, again.t, again.f, again.seed) == \
-        (ctx4.p, ctx4.t, ctx4.f, ctx4.seed)
 
 
 def test_cycle_position_order300():

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from zechbruijn import gf2poly as g
 from zechbruijn.factors import UnsupportedDegreeError
 
+from conftest import decimate
+
 X = 0b10
 P4 = 0b10011          # x^4 + x + 1
 F4 = 0b11111          # x^4 + x^3 + x^2 + x + 1
@@ -102,23 +104,23 @@ def test_is_primitive():
 def test_berlekamp_massey():
     mbits = g.lfsr_bits(P4, 1, 15)
     assert g.berlekamp_massey(mbits[:8]) == P4
-    dec = g.decimate(mbits, 3)
+    dec = decimate(mbits, 3)
     assert g.berlekamp_massey((dec * 2)[:8]) == F4
     assert g.berlekamp_massey([0] * 10) == 1
 
 
 def test_decimate():
     mbits = g.lfsr_bits(P4, 1, 15)
-    assert g.decimate(mbits, 1, 0) == mbits
-    assert g.decimate(mbits, 3, 0) == [1, 0, 0, 0, 1]
-    assert g.decimate(mbits, 3, 1) == [0, 1, 1, 1, 1]
+    assert decimate(mbits, 1, 0) == mbits
+    assert decimate(mbits, 3, 0) == [1, 0, 0, 0, 1]
+    assert decimate(mbits, 3, 1) == [0, 1, 1, 1, 1]
 
 
 def test_decimation_of_mseq_is_mseq():
     # gcd(d, 2^n - 1) = 1 keeps maximal period and a primitive minimal poly
     mbits = g.lfsr_bits(P10, 1, 1023)
     for d in (2, 5, 13):
-        dec = g.decimate(mbits, d)
+        dec = decimate(mbits, d)
         assert len(dec) == 1023
         f = g.berlekamp_massey(dec[:20])
         assert g.degree(f) == 10 and g.is_primitive(f)
@@ -149,7 +151,7 @@ def _clocked_associated_poly(p, t):
     t-decimate 2n bits, and feed those to Berlekamp-Massey."""
     n = g.degree(p)
     bits = g.lfsr_bits(p, 1, t * (2 * n - 1) + 1)
-    return g.berlekamp_massey(g.decimate(bits, t)[:2 * n])
+    return g.berlekamp_massey(decimate(bits, t)[:2 * n])
 
 
 def test_associated_irreducible_matches_clocked_decimation():
@@ -180,14 +182,6 @@ def test_insert_zero():
     assert len(out) == 32 and g.is_debruijn(out, 5)
     with pytest.raises(ValueError):
         g.insert_zero([0, 1, 0, 1])   # two length-1 runs
-
-
-def test_remove_zero_inverts_insert():
-    mbits = g.lfsr_bits(P5, 1, 31)
-    db = g.insert_zero(mbits)
-    assert g.remove_zero(db) == mbits
-    with pytest.raises(ValueError):
-        g.remove_zero([1, 1, 0, 1], 3)
 
 
 def test_insert_zero_example2_join_result():

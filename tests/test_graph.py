@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import networkx as nx
 import pytest
@@ -16,7 +17,6 @@ from zechbruijn import (
     cyclotomic_numbers,
     deterministic_spanning_tree,
     export_dot,
-    find_almost_star,
     sample_spanning_tree,
 )
 from zechbruijn.graph import bareiss_determinant, log2_int
@@ -181,12 +181,6 @@ def test_certify_almost_star_order10(zech10):
     assert poly_exponents(cert.f) == [10, 9, 5, 1, 0]
 
 
-def test_find_almost_star_scans_centers(zech10):
-    cert = find_almost_star(P10, 31, zech=zech10)
-    assert cert is not None and cert.found
-    assert cert.center >= 1
-
-
 def test_certify_unique_star_cases(zech20):
     certs = certify_star(P20, zech=zech20, ts=[41, 123, 205, 275])
     assert [c.t for c in certs] == [41, 123, 205, 275]
@@ -286,8 +280,6 @@ def test_sampled_trees_valid_and_deterministic(ctx10):
     assert t1.edges == t2.edges
     t1.validate(g)
     t3.validate(g)
-    k1 = sample_spanning_tree(g, seed=7, method="kruskal")
-    k1.validate(g)
     # sampled edges satisfy the pair equation: right cycle = tau(k) mod t
     for ci, cj, rep in t1.edges:
         if None in (ci, cj):
@@ -305,12 +297,14 @@ def test_deterministic_tree_prefers_star(ctx4):
 
 def test_export_dot(ctx4):
     g = connected_subgraph(ctx4)
-    text = export_dot(g, simplified=True)
+    text = export_dot(g)
     assert text.startswith("graph adjacency {")
     assert text.count("--") == len(g.edges())
     assert text.rstrip().endswith("}")
-    full = export_dot(g)
-    assert full.count("--") == sum(m for _u, _v, m in g.edges())
+    # one line per vertex pair, labeled with its multiplicity
+    assert '  "[0]" -- "[u0]" [label="1"];' in text.splitlines()
+    labels = [int(x) for x in re.findall(r'label="(\d+)"', text)]
+    assert labels == [m for _u, _v, m in g.edges()]
 
 
 _multigraphs = st.integers(1, 9).flatmap(lambda t: st.tuples(

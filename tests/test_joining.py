@@ -1,4 +1,6 @@
 import random
+import re
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from zechbruijn import (
     CycleCtx,
     ProductCtx,
     anf_bits,
+    anf_stream,
     build_subgraph,
     deterministic_spanning_tree,
     exponent_to_state,
@@ -16,7 +19,6 @@ from zechbruijn import (
     generate_debruijn,
     is_debruijn,
     join_feedback,
-    joined_feedback,
     pair_product,
     patched_lfsr_bits,
     product_conjugate,
@@ -39,6 +41,13 @@ def test_anf_parse_and_str():
     assert h.degree == 2
     assert Anf.parse("0", 4).monos == frozenset()
     assert str(Anf.parse("1 + x0", 3)) == "1 + x0"
+
+
+@pytest.mark.parametrize("text,term", [("x7 + x1", "x7"), ("x5", "x5"), ("x1*x", "x1*x"),
+                                       ("x0 + xa", "xa"), ("x-1", "x-1"), ("y2", "y2")])
+def test_anf_parse_rejects_terms_outside_x0_to_xn(text, term):
+    with pytest.raises(ValueError, match=f"bad ANF term '{re.escape(term)}'"):
+        Anf.parse(text, 5)
 
 
 def anf_str_oracle(anf):
@@ -108,11 +117,10 @@ def test_generate_debruijn_walkthrough(ctx4):
     tree = deterministic_spanning_tree(g)
     bits = generate_debruijn(ctx4, tree)
     assert bits == [int(c) for c in "0000101001111011"]
-    # materialized output agrees with evaluating the joined ANF
-    anf = joined_feedback(ctx4, tree)
-    assert anf_bits(anf, 0, 16) == bits
-    stream = generate_debruijn(ctx4, tree, mode="stream")
-    assert [next(stream) for _ in range(20)] == bits + bits[:4]
+    # materialized output agrees with evaluating the joined ANF, which
+    # runs on periodically
+    anf = tree_feedback(ctx4, tree).to_anf()
+    assert list(islice(anf_stream(anf, 0), 20)) == bits + bits[:4]
 
 
 def test_generate_debruijn_rejects_nontree(ctx4):
@@ -160,7 +168,9 @@ def test_joined_degree_bound(ctx4, ctx10):
     for ctx in (ctx4, ctx10):
         g = build_subgraph(ctx, range(1, ctx.modulus))
         tree = sample_spanning_tree(g, seed=11)
-        anf = joined_feedback(ctx, tree)
+        fb = tree_feedback(ctx, tree)
+        anf = fb.to_anf()
+        assert anf.degree == fb.degree
         assert anf.degree <= ctx.n - 1
         # the zero-edge pair has an all-zero tail, forcing degree n - 1
         assert anf.degree == ctx.n - 1
@@ -176,7 +186,7 @@ def test_stream_blocks_resume(ctx4):
     # the register state after j clocks is the n-window at j, so output
     # restarted from that window continues the sequence
     g = build_subgraph(ctx4, range(1, 15))
-    anf = joined_feedback(ctx4, deterministic_spanning_tree(g))
+    anf = tree_feedback(ctx4, deterministic_spanning_tree(g)).to_anf()
     whole = anf_bits(anf, 0, 16)
     mid_state = state_from_bits(whole[6:6 + ctx4.n])
     assert anf_bits(anf, 0, 6) + anf_bits(anf, mid_state, 10) == whole
@@ -316,4 +326,4 @@ def test_anf_bits_match_patched_register(join_graphs, case, seed, state, length)
     tree = sample_spanning_tree(g, seed=seed)
     state &= (1 << ctx.n) - 1
     want, _ = patched_lfsr_bits(ctx.f, tree_feedback(ctx, tree).tails, state, length)
-    assert anf_bits(joined_feedback(ctx, tree), state, length) == want
+    assert anf_bits(tree_feedback(ctx, tree).to_anf(), state, length) == want
