@@ -57,9 +57,11 @@ def _emit(args, text):
 
 
 def cmd_zech(args):
+    if args.budget is not None:
+        _check_least("--budget", args.budget, 0)
     p = poly_from_set_notation(args.p)
-    table = build_zech_table(p, mode=args.mode, cap=args.cap,
-                             lift=not args.no_lift, budget=args.budget)
+    table = build_zech_table(p, mode=args.mode, lift=not args.no_lift,
+                             budget=args.budget)
     buf = io.StringIO()
     table.dump(buf)
     _emit(args, buf.getvalue())
@@ -73,9 +75,9 @@ def cmd_zech(args):
     return EXIT_OK if table.complete else EXIT_PARTIAL
 
 
-def _build_ctx(args, p, t):
+def _build_ctx(p, t):
     check_t(degree(p), t)
-    return CycleCtx(p, t, zech=build_zech_table(p, mode=args.mode))
+    return CycleCtx(p, t, zech=build_zech_table(p))
 
 
 def _parse_ab(text):
@@ -98,13 +100,16 @@ def _feedback_text(fb):
         return str(fb)
 
 
-def _check_count(count, least):
-    if count < least:
-        raise ValueError(f"--count must be at least {least}, got {count}")
+def _check_least(flag, value, least):
+    """Refuse a numeric flag below its minimum, before any work is done."""
+    if value < least:
+        raise ValueError(f"{flag} must be at least {least}, got {value}")
 
 
 def cmd_debruijn(args):
-    _check_count(args.count, 0)   # 0: certificate only, no sequence
+    _check_least("--count", args.count, 0)   # 0: certificate only, no sequence
+    if args.format == "hex" and args.count == 0:
+        raise ValueError("--format hex writes sequences, but --count is 0")
     if args.materialize_cap > MATERIALIZE_CAP:
         raise ValueError(f"--materialize-cap {args.materialize_cap} is above the "
                          f"sequence generation cap {MATERIALIZE_CAP}")
@@ -113,7 +118,7 @@ def cmd_debruijn(args):
     if args.format == "hex" and n > args.materialize_cap:
         raise ValueError(f"--format hex writes sequences, but n = {n} is above "
                          f"--materialize-cap {args.materialize_cap}")
-    ctx = _build_ctx(args, p, args.t)
+    ctx = _build_ctx(p, args.t)
     g = connected_subgraph(ctx)
     missing = g.unreached()
     if missing:
@@ -170,6 +175,8 @@ def cmd_debruijn(args):
 
 
 def cmd_certify(args):
+    _check_least("--budget-s", args.budget_s, 3)   # the least t swept
+    _check_least("--budget-z", args.budget_z, 1)
     p = poly_from_set_notation(args.p)
     zech = build_zech_table(p)
     certs = []
@@ -203,7 +210,7 @@ def cmd_certify(args):
 
 
 def cmd_crossjoin(args):
-    _check_count(args.count, 1)
+    _check_least("--count", args.count, 1)
     ab = _parse_ab(args.ab) if args.ab else None
     p = poly_from_set_notation(args.p)
     zech = build_zech_table(p)
@@ -246,7 +253,7 @@ def cmd_fryers(args):
 
 def cmd_cyclotomic(args):
     p = poly_from_set_notation(args.p)
-    ctx = _build_ctx(args, p, args.t)
+    ctx = _build_ctx(p, args.t)
     matrix = cyclotomic_numbers(ctx)
     if args.format == "json":
         _emit(args, json.dumps({"p": poly_to_set_notation(p), "t": args.t,
@@ -285,7 +292,6 @@ def build_parser():
                     choices=["auto", "bruteforce", "propagate"])
     sp.add_argument("--no-lift", action="store_true",
                     help="disable the subfield lift fallback")
-    sp.add_argument("--cap", type=int, default=26)
     sp.add_argument("--budget", type=int, default=None,
                     help="chain-sweep candidate budget (large degrees)")
     add_common(sp, formats=())
@@ -296,8 +302,6 @@ def build_parser():
     sp.add_argument("--t", type=int, required=True)
     sp.add_argument("--count", type=int, default=1)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--mode", default="auto",
-                    choices=["auto", "bruteforce", "propagate"])
     sp.add_argument("--materialize-cap", type=int, default=MATERIALIZE_CAP)
     add_common(sp, formats=("text", "json", "dot", "hex"))
     sp.set_defaults(func=cmd_debruijn)
@@ -327,8 +331,6 @@ def build_parser():
     sp = sub.add_parser("cyclotomic", help="cyclotomic number matrix")
     sp.add_argument("--p", required=True)
     sp.add_argument("--t", type=int, required=True)
-    sp.add_argument("--mode", default="auto",
-                    choices=["auto", "bruteforce", "propagate"])
     add_common(sp)
     sp.set_defaults(func=cmd_cyclotomic)
     return parser

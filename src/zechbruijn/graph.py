@@ -337,7 +337,7 @@ def certify_star(p, t_max=2000, z_max=2000, zech=None, ts=None):
     if zech is None:
         zech = build_zech_table(p)
     out = []
-    candidates = ts if ts is not None else range(3, t_max + 1)
+    candidates = ts if ts is not None else range(3, min(t_max, M - 1) + 1)
     for t in candidates:
         if t < 2 or t >= M or M % t:
             continue

@@ -261,14 +261,14 @@ def _coset_leaders(n):
     return np.flatnonzero(is_leader)
 
 
-def zech_bruteforce(p, cap=BRUTEFORCE_CAP):
+def zech_bruteforce(p):
     """Complete table by indexing every m-sequence state by its position.
 
     tau(i) is the position of state_i + state_0; state_0 = (1, 0, ..., 0).
     """
     n = degree(p)
-    if n > cap:
-        raise ResourceCapError(f"brute force refused for n = {n} > cap {cap}")
+    if n > BRUTEFORCE_CAP:
+        raise ResourceCapError(f"brute force refused for n = {n} > cap {BRUTEFORCE_CAP}")
     M = (1 << n) - 1
     table = ZechTable(n, p=p)
     if M == 1:
@@ -510,15 +510,15 @@ def zech_subfield_lift(table_m, n):
     return frag
 
 
-def build_zech_table(p, mode="auto", cap=BRUTEFORCE_CAP, lift=True, seeds=None,
-                     budget=None):
-    """Seed, close, chain and (optionally) subfield-lift until complete.
+def build_zech_table(p, mode="auto", lift=True, seeds=None, budget=None):
+    """The Zech table of p, by brute force or by propagation.
 
-    mode 'bruteforce' indexes all 2^n states (n <= cap); 'propagate' starts
-    from the trinomial identity or explicit `seeds` [(k, tau(k)), ...] and
-    runs the chaining sweep; 'auto' picks propagate for trinomials and
-    falls back to brute force. Incompleteness is reported via the table's
-    completeness flag, not an exception.
+    mode 'bruteforce' indexes all 2^n states (n <= BRUTEFORCE_CAP);
+    'propagate' starts from the trinomial identity or explicit `seeds`
+    [(k, tau(k)), ...] and runs the chaining sweep; 'auto' brute-forces
+    up to the cap unless seeds are given, being faster there and always
+    complete, and propagates above it. Incompleteness is reported via the
+    table's completeness flag, not an exception.
     """
     n = degree(p)
     try:
@@ -526,20 +526,19 @@ def build_zech_table(p, mode="auto", cap=BRUTEFORCE_CAP, lift=True, seeds=None,
             raise ValueError(f"{poly_to_set_notation(p)} is not primitive")
     except UnsupportedDegreeError:
         pass  # no factorization of 2^n - 1 bundled; taken on trust
-    exps = poly_exponents(p)
-    is_trinomial = len(exps) == 3 and exps[-1] == 0
     if mode == "auto":
-        if seeds or is_trinomial:
-            mode = "propagate"
-        elif n <= cap:
+        exps = poly_exponents(p)
+        if n <= BRUTEFORCE_CAP and not seeds:
             mode = "bruteforce"
+        elif seeds or (len(exps) == 3 and exps[-1] == 0):
+            mode = "propagate"
         else:
             raise ResourceCapError(
-                f"n = {n} exceeds brute-force cap and {poly_to_set_notation(p)} "
-                "offers no trinomial seed; supply seeds"
+                f"n = {n} exceeds the brute-force cap {BRUTEFORCE_CAP} and "
+                f"{poly_to_set_notation(p)} offers no trinomial seed; supply seeds"
             )
     if mode == "bruteforce":
-        return zech_bruteforce(p, cap=cap)
+        return zech_bruteforce(p)
     if mode != "propagate":
         raise ValueError(f"unknown mode {mode!r}")
 
@@ -560,8 +559,7 @@ def build_zech_table(p, mode="auto", cap=BRUTEFORCE_CAP, lift=True, seeds=None,
         if degree(sub_p) != m:
             continue
         try:
-            sub_table = build_zech_table(sub_p, mode="auto", cap=cap, lift=lift,
-                                         budget=budget)
+            sub_table = build_zech_table(sub_p, lift=lift, budget=budget)
         except (ResourceCapError, ValueError):
             continue
         frag = zech_subfield_lift(sub_table, n)

@@ -168,6 +168,17 @@ def test_debruijn_rejects_negative_count(capsys):
     assert err == "error: --count must be at least 0, got -1\n"
 
 
+def test_crossjoin_where_propagation_stalls(capsys):
+    # the n=17;{6} table is brute-forced: propagation stalls on it
+    code, out, _err = run(capsys, "crossjoin", "--p", "n=17;{6}", "--count", "3",
+                          "--format", "json")
+    assert code == 0
+    records = [json.loads(line) for line in out.splitlines()]
+    assert len(records) == 3
+    for r in records:
+        assert r["a"] < r["b"] < r["tau_a"] < r["tau_b"]
+
+
 def test_fryers_output(capsys):
     code, out, _err = run(capsys, "fryers", "--n", "5", "--format", "json")
     assert code == 0
@@ -232,6 +243,11 @@ def test_cyclotomic_matrix(capsys):
     mat = payload["matrix"]
     assert len(mat) == 3
     assert sum(map(sum, mat)) == 14
+
+
+def test_cyclotomic_where_propagation_stalls(capsys):
+    code, out, _err = run(capsys, "cyclotomic", "--p", "n=17;{6}", "--t", "1")
+    assert code == 0 and out == "131070\n"
 
 
 def test_byte_identical_reruns(tmp_path, capsys):
@@ -307,3 +323,37 @@ def test_materialize_cap_above_generation_cap_exits_3(capsys, monkeypatch):
                          "--materialize-cap", "27")
     assert code == 3 and out == ""
     assert err == "error: --materialize-cap 27 is above the sequence generation cap 26\n"
+
+
+def test_debruijn_hex_with_count_0_exits_3(capsys, monkeypatch):
+    _refuse_table_builds(monkeypatch)
+    code, out, err = run(capsys, "debruijn", "--p", "n=5;{2}", "--t", "1",
+                         "--count", "0", "--format", "hex")
+    assert code == 3 and out == ""
+    assert err == "error: --format hex writes sequences, but --count is 0\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("certify", "--p", "n=10;{3}", "--budget-s", "-5"), "--budget-s must be at least 3, got -5"),
+    (("certify", "--p", "n=10;{3}", "--t", "31", "--budget-z", "-1"),
+     "--budget-z must be at least 1, got -1"),
+    (("zech", "--p", "n=10;{3}", "--budget", "-1"), "--budget must be at least 0, got -1"),
+])
+def test_numeric_flag_below_minimum_exits_3(capsys, monkeypatch, argv, message):
+    _refuse_table_builds(monkeypatch)
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("zech", "--p", "n=28;{3}", "--mode", "bruteforce", "--cap", "30"), "--cap 30"),
+    (("debruijn", "--p", "n=10;{3}", "--t", "31", "--mode", "propagate"),
+     "--mode propagate"),
+    (("cyclotomic", "--p", "n=10;{3}", "--t", "31", "--mode", "bruteforce"),
+     "--mode bruteforce"),
+])
+def test_table_source_and_cap_are_not_options(capsys, monkeypatch, argv, flag):
+    _refuse_table_builds(monkeypatch)
+    code, err = usage_error(capsys, *argv)
+    assert code == 3 and f"unrecognized arguments: {flag}" in err

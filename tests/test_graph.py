@@ -21,7 +21,7 @@ from zechbruijn import (
 )
 from zechbruijn.graph import bareiss_determinant, log2_int
 
-from conftest import P10, P20
+from conftest import P5, P10, P20
 
 
 def test_log2_int():
@@ -233,6 +233,11 @@ def test_cert_counts_match_bareiss_oracle(zech10, zech20):
         assert c.found
         assert c.dbseqs == bareiss_determinant(_cert_matrix(c.t, c.center, c.cp)), c.t
     assert certs[1].dbseqs == 20 ** 204
+
+
+def test_certify_star_sweep_stops_at_period(zech5):
+    # 2^5 - 1 is prime: no t in [3, 30] is valid, and none above is tried
+    assert certify_star(P5, t_max=10**18, zech=zech5) == []
 
 
 def test_certify_skips_invalid_t(zech10):

@@ -221,7 +221,7 @@ def test_bruteforce_rejects_nonprimitive():
             with pytest.raises(ValueError, match="not primitive"):
                 build(p)
     with pytest.raises(ResourceCapError):
-        zech_bruteforce((1 << 30) | (1 << 1) | 1, cap=26)
+        zech_bruteforce((1 << 30) | (1 << 1) | 1)
 
 
 def test_seed_trinomial():
@@ -337,11 +337,22 @@ def test_subfield_lift_gf32_into_gf1024(zech10):
 
 
 def test_build_auto_and_propagate(zech10):
-    t = build_zech_table(P10)           # auto -> propagate (trinomial)
+    t = build_zech_table(P10)           # auto -> bruteforce (n <= 26)
     assert t.complete
     assert all(t.resolve(k) == zech10.resolve(k) for k in range(1, 1023))
     t = build_zech_table(0b1100001, mode="auto")   # x^6+x^5+1
     assert t.complete
+
+
+def test_auto_source_is_chosen_from_n():
+    # up to the cap, brute force even where propagation stalls (n=17;{6},
+    # test_remark_failure_and_lift_recovery); above it a non-trinomial
+    # without seeds is refused before any table is built
+    t = build_zech_table(poly_from_set_notation("n=17;{6}"))
+    assert t.complete
+    assert {prov for _, prov in t.entries.values()} == {"bruteforce"}
+    with pytest.raises(ResourceCapError, match="brute-force cap 26"):
+        build_zech_table(poly_from_set_notation("n=28;{12,2,1}"))
 
 
 def test_build_with_explicit_seeds(zech4):
