@@ -175,15 +175,14 @@ def cmd_debruijn(args):
 
 
 def cmd_certify(args):
-    _check_least("--budget-s", args.budget_s, 3)   # the least t swept
+    if args.t is None:
+        if args.l is not None:
+            raise ValueError("--l needs --t")
+        _check_least("--budget-s", args.budget_s, 3)   # the least t swept
     _check_least("--budget-z", args.budget_z, 1)
     p = poly_from_set_notation(args.p)
     zech = build_zech_table(p)
-    certs = []
     if args.l is not None:
-        if args.t is None:
-            print("error: --l needs --t", file=sys.stderr)
-            return EXIT_INVALID
         certs = [certify_almost_star(p, args.t, args.l, z_max=args.budget_z, zech=zech)]
     elif args.t is not None:
         certs = certify_star(p, z_max=args.budget_z, zech=zech, ts=[args.t])

@@ -516,9 +516,9 @@ def build_zech_table(p, mode="auto", lift=True, seeds=None, budget=None):
     mode 'bruteforce' indexes all 2^n states (n <= BRUTEFORCE_CAP);
     'propagate' starts from the trinomial identity or explicit `seeds`
     [(k, tau(k)), ...] and runs the chaining sweep; 'auto' brute-forces
-    up to the cap unless seeds are given, being faster there and always
-    complete, and propagates above it. Incompleteness is reported via the
-    table's completeness flag, not an exception.
+    up to the cap unless seeds are given (complete, where propagation
+    may stall) and propagates above it. Incompleteness is reported via
+    the table's completeness flag, not an exception.
     """
     n = degree(p)
     try:

@@ -357,3 +357,17 @@ def test_table_source_and_cap_are_not_options(capsys, monkeypatch, argv, flag):
     _refuse_table_builds(monkeypatch)
     code, err = usage_error(capsys, *argv)
     assert code == 3 and f"unrecognized arguments: {flag}" in err
+
+
+def test_certify_l_without_t_exits_3_before_building(capsys, monkeypatch):
+    _refuse_table_builds(monkeypatch)
+    code, out, err = run(capsys, "certify", "--p", "n=10;{3}", "--l", "2")
+    assert code == 3 and out == ""
+    assert err == "error: --l needs --t\n"
+
+
+def test_certify_budget_s_is_only_checked_for_the_sweep(capsys):
+    # with --t no t is swept, so --budget-s is not read
+    code, out, _err = run(capsys, "certify", "--p", "n=10;{3}", "--t", "3",
+                          "--budget-s", "0")
+    assert code == 0 and out == "t=3 center=u0 witness={1} cp=5 dbseqs~2^4.64\n"
