@@ -12,11 +12,19 @@ import json
 import math
 import random
 from dataclasses import dataclass, field
+from itertools import compress
 
 from .conjugacy import pairs_from_coset
 from .cycles import check_t
 from .gf2poly import degree, poly_to_set_notation
-from .zech import MissingEntryError, build_zech_table, coset_leader, doubling_orbit
+from .zech import (
+    MissingEntryError,
+    build_zech_table,
+    coset_leader,
+    coset_rotations,
+    doubling_orbit,
+    lookup_batch,
+)
 
 
 def log2_int(x):
@@ -285,39 +293,48 @@ class TreeCert:
         )
 
 
-def _certify_walk(p, f, t, resolve, center, z_max):
+def _certify_walk(p, f, t, table, center, z_max):
     """Algorithm-1 walk: cover all residues mod t by coset images of
-    tau at exponents (2k-1)t + center."""
+    tau at exponents (2k-1)t + center.
+
+    The exponents are resolved `lookup_batch(n)` at a time, each batch with
+    one `resolve_many` call, and the orbit leader of tau mod t comes from the
+    same batch's rotations: t divides 2^n - 1, so doubling tau mod
+    2^n - 1 and reducing mod t doubles it mod t. Nothing is sized by t
+    or z_max.
+    """
     n = degree(p)
     M = (1 << n) - 1
     done = {center % t}
     witness = []
     delta = []
     cert = TreeCert(n=n, p=p, t=t, f=f, center=center)
-    for k in range(1, z_max + 1):
-        w = 2 * k - 1
-        i = (w * t + center) % M
-        if i == 0:
+    batch = lookup_batch(n)
+    for k0 in range(1, z_max + 1, batch):
+        ws = range(2 * k0 - 1, 2 * min(k0 + batch, z_max + 1) - 1, 2)
+        wis = [(w, i) for w in ws if (i := (w * t + center) % M)]
+        if not wis:
             continue
-        try:
-            L = resolve(i) % t
-        except MissingEntryError:
-            continue  # partial table: hunt with what resolves
-        orbit = doubling_orbit(L, t)
-        if min(orbit) in done:
-            continue
-        witness.append(w)
-        delta.append(i)
-        done.update(orbit)
-        if len(done) == t:
-            cp = n // len(orbit)
-            cert.witness = witness
-            cert.delta = delta
-            cert.cp = cp
-            cert.dbseqs = cp ** (t - 1)
-            cert.log2 = log2_int(cert.dbseqs)
-            cert.found = True
-            return cert
+        taus = table.resolve_many([i for _, i in wis])
+        hit = taus >= 0   # partial table: hunt with what resolves
+        taus = taus[hit]
+        leads = (coset_rotations(taus, n) % t).min(axis=1).tolist()
+        for (w, i), tau, lead in zip(compress(wis, hit), taus.tolist(), leads):
+            if lead in done:
+                continue
+            orbit = doubling_orbit(tau % t, t)
+            witness.append(w)
+            delta.append(i)
+            done.update(orbit)
+            if len(done) == t:
+                cp = n // len(orbit)
+                cert.witness = witness
+                cert.delta = delta
+                cert.cp = cp
+                cert.dbseqs = cp ** (t - 1)
+                cert.log2 = log2_int(cert.dbseqs)
+                cert.found = True
+                return cert
     cert.witness = witness
     cert.delta = delta
     return cert
@@ -344,7 +361,7 @@ def certify_star(p, t_max=2000, z_max=2000, zech=None, ts=None):
         f, valid = associated_irreducible(p, t)
         if not valid:
             continue
-        out.append(_certify_walk(p, f, t, zech.resolve, 0, z_max))
+        out.append(_certify_walk(p, f, t, zech, 0, z_max))
     return out
 
 
@@ -360,7 +377,7 @@ def certify_almost_star(p, t, ell, z_max=2000, zech=None):
         raise ValueError(f"t = {t} is not valid for this polynomial")
     if zech is None:
         zech = build_zech_table(p)
-    return _certify_walk(p, f, t, zech.resolve, ell, z_max)
+    return _certify_walk(p, f, t, zech, ell, z_max)
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from .gf2poly import (
 BRUTEFORCE_CAP = 26        # 2^n state index above this refuses (memory)
 FLAT_ARRAY_CAP = 24        # flat numpy workspace bound for closure sweeps
 CHAIN_BUDGET = 1_000_000   # default candidate checks for the pair-scan sweep
+LOOKUP_BATCH = 256         # exponents per normaliser call up to n = 64 (see lookup_batch)
 
 PROVENANCES = ("seed", "flip", "inv", "double", "chain", "subfield", "bruteforce")
 
@@ -81,6 +82,52 @@ def doubling_orbit(x, m):
         if y >= m:
             y -= m
     return out
+
+
+@lru_cache(maxsize=None)
+def _rotation_columns(n, dtype):
+    """The column shifts s = 0..n-1 of `coset_rotations`, with n - s and
+    the low-bit masks 2^(n - s) - 1, as arrays of `dtype`."""
+    s = np.arange(n).astype(dtype)
+    return s, n - s, (1 << (n - s)) - 1
+
+
+def coset_rotations(ks, n):
+    """Every n-bit rotation of each k of the array ks (0 <= ks < 2^n - 1).
+
+    Doubling mod 2^n - 1 rotates the n-bit word left, so column s of row i
+    holds ks[i] doubled s times, and each row runs through the coset of
+    ks[i] (repeating it when the coset is short). Masking before the shift
+    keeps every intermediate below 2^n, so the int64 arrays of
+    `_array_dtype` do not overflow.
+    """
+    s, rs, low = _rotation_columns(n, ks.dtype)
+    col = ks[:, None]
+    return ((col & low) << s) | (col >> rs)
+
+
+def _normalise(ks, n):
+    """The coset normaliser: (lead, shift, rots) for the exponent array ks.
+
+    rots is `coset_rotations(ks, n)`; lead is each row's minimum and shift
+    the first column that holds it, as `_leader_shift` gives them.
+    """
+    rots = coset_rotations(ks, n)
+    shift = rots.argmin(axis=1)
+    return rots[np.arange(len(ks)), shift], shift, rots
+
+
+def lookup_batch(n):
+    """Exponents per normaliser call at degree n: LOOKUP_BATCH, and fewer
+    above n = 64, so that the n-column rotation matrix of a batch stays
+    within LOOKUP_BATCH * 64 cells."""
+    return max(1, min(LOOKUP_BATCH, LOOKUP_BATCH * 64 // n))
+
+
+def _array_dtype(n):
+    """dtype of exponent arrays mod 2^n - 1: int64 below n = 63, where
+    sums of two exponents still fit, and Python ints (object) above."""
+    return np.int64 if n < 63 else object
 
 
 def coset_leader(k, n):
@@ -175,6 +222,27 @@ class ZechTable:
         # k = lead doubled (size - shift) times
         return (entry[0] * pow(2, (size - shift) % size, M)) % M
 
+    def resolve_many(self, ks):
+        """tau at each k of the integer array ks, -1 where the coset of k
+        is not in the table; k = 0 mod 2^n - 1 raises ValueError, as in
+        `resolve`. int64 results below n = 63, Python ints above."""
+        n, M = self.n, self.modulus
+        ks = np.asarray(ks, dtype=_array_dtype(n)) % M
+        if (ks == 0).any():
+            raise ValueError("tau(0) is undefined (1 + 1 = 0)")
+        get = self.entries.get
+        missing = (-1, None)
+        out = np.empty_like(ks)
+        step = lookup_batch(n)
+        for a in range(0, len(ks), step):
+            lead, shift, _ = _normalise(ks[a:a + step], n)
+            vals = np.array([get(l, missing)[0] for l in lead.tolist()], dtype=ks.dtype)
+            # k is lead doubled n - shift times (mod n), and so is tau(k)
+            part = coset_rotations(vals, n)[np.arange(len(vals)), (n - shift) % n]
+            part[vals < 0] = -1
+            out[a:a + step] = part
+        return out
+
     # -- bookkeeping ---------------------------------------------------------
 
     @property
@@ -219,19 +287,73 @@ class ZechTable:
 
     @classmethod
     def load(cls, fp):
+        """Read a table written by `dump`, keeping the file's line order.
+
+        A malformed header or body line raises ValueError naming its line
+        number; two lines giving one coset different values raise
+        CorruptTableError.
+        """
         header = fp.readline().split()
         if header[:2] != ["zech", "v1"]:
-            raise ValueError("not a zech v1 table file")
-        fields = dict(tok.split("=", 1) for tok in header[2:])
-        n = int(fields["n"])
-        p = None if fields.get("p", "-") == "-" else int(fields["p"], 16)
+            raise ValueError("line 1: not a zech v1 table file")
+        fields = {}
+        for tok in header[2:]:
+            key, eq, value = tok.partition("=")
+            if not eq:
+                raise ValueError(f"line 1: header field {tok!r} is not key=value")
+            fields[key] = value
+        if "n" not in fields:
+            raise ValueError("line 1: header has no n=")
+        try:
+            n = int(fields["n"])
+            p = None if fields.get("p", "-") == "-" else int(fields["p"], 16)
+        except ValueError:
+            raise ValueError(f"line 1: n={fields['n']} and p={fields.get('p')} "
+                             "must be a decimal and a hex integer") from None
+        if n < 1:
+            raise ValueError(f"line 1: degree n={n} is below 1")
         table = cls(n, p=p)
-        for line in fp:
-            if not line.strip():
+        M = table.modulus
+        batch = lookup_batch(n)
+        rows = []
+        for num, line in enumerate(fp, start=2):
+            row = line.split()
+            if not row:
                 continue
-            lead, v, prov = line.split()
-            table.add_entry(int(lead), int(v), prov)
+            if len(row) != 3:
+                raise ValueError(f"line {num}: expected 'leader tau provenance', "
+                                 f"got {line.strip()!r}")
+            try:
+                k, v = int(row[0]) % M, int(row[1]) % M
+            except ValueError:
+                raise ValueError(f"line {num}: leader and tau must be integers, "
+                                 f"got {line.strip()!r}") from None
+            if k == 0 or v == 0:
+                raise ValueError(f"line {num}: tau is defined on [1, 2^n - 2] only")
+            if row[2] not in PROVENANCES:
+                raise ValueError(f"line {num}: unknown provenance {row[2]!r}")
+            rows.append((num, k, v, row[2]))
+            if len(rows) == batch:
+                table._add_rows(rows)
+                rows = []
+        table._add_rows(rows)
         return table
+
+    def _add_rows(self, rows):
+        """Store (line number, k, tau(k), provenance) rows in order, each
+        at its coset leader, through one normaliser call."""
+        if not rows:
+            return
+        nums, ks, vs, provs = zip(*rows)
+        dtype = _array_dtype(self.n)
+        lead, shift, _ = _normalise(np.array(ks, dtype=dtype), self.n)
+        vlead = coset_rotations(np.array(vs, dtype=dtype), self.n)[np.arange(len(vs)), shift]
+        entries = self.entries
+        for num, k, v, prov in zip(nums, lead.tolist(), vlead.tolist(), provs):
+            old = entries.setdefault(k, (v, prov))
+            if old[0] != v:
+                raise CorruptTableError(
+                    f"line {num}: tau({k}) derived as {v} but stored as {old[0]}")
 
 
 # ---------------------------------------------------------------------------
@@ -347,6 +469,11 @@ def zech_chain(table, i, j):
 
 _SWEEP_PREFIX = 4096   # small candidates carry nearly every derivation
 
+# conjugates (k, v), (v, k), (-k, v - k), (-v, k - v), (v - k, -k), (k - v, -v)
+# of a pair v = tau(k): the index of the Flip image, and of the Inv image
+_FLIP = (1, 0, 4, 5, 2, 3)
+_INV = (2, 3, 0, 1, 5, 4)
+
 
 def _sweep_flat(table):
     """Chaining sweep to fixpoint on flat numpy arrays (n <= FLAT_ARRAY_CAP).
@@ -359,27 +486,41 @@ def _sweep_flat(table):
     n, M = table.n, table.modulus
     tau = table.to_array()
     known = tau >= 0
-    # scalar stores through memoryviews skip numpy's per-item overhead
-    known_mv, tau_mv = memoryview(known), memoryview(tau)
 
-    def add_closed(k, v, prov):
-        stack = [(k, v, prov)]
+    def add_closed(k, v):
+        """Add the chain entry tau(k) = v and every new coset its Flip/Inv
+        closure reaches, in the order of the depth-first closure of
+        `_close_from`, writing their orbits into tau and known at once."""
+        # the six conjugates in the order of _FLIP, then their tau values
+        kv = np.array([k, v, -k, -v, v - k, k - v, v, k, v - k, k - v, -k, -v],
+                      dtype=np.int64) % M
+        lead, shift, rots = _normalise(kv, n)
+        args, vals = kv[:6].tolist(), kv[6:].tolist()
+        lead = lead[:6].tolist()
+        vlead = rots[np.arange(6, 12), shift[:6]].tolist()
+        new = {}     # leader -> conjugate, in insertion order
+        stack = [(0, "chain")]
         while stack:
-            k, v, prov = stack.pop()
-            k %= M
-            v %= M
-            if k == 0 or v == 0:
+            c, prov = stack.pop()
+            if args[c] == 0 or vals[c] == 0:
                 continue
-            if known[k]:
-                if tau[k] != v:
-                    raise CorruptTableError(f"tau({k}) = {tau[k]} vs {v}")
+            if known[args[c]]:
+                if tau[args[c]] != vals[c]:
+                    raise CorruptTableError(f"tau({args[c]}) = {tau[args[c]]} vs {vals[c]}")
                 continue
-            table.add_entry(k, v, prov)
-            for kk, vv in zip(doubling_orbit(k, M), doubling_orbit(v, M)):
-                known_mv[kk] = True
-                tau_mv[kk] = vv
-            stack.append((v, k, "flip"))
-            stack.append((M - k, (v - k) % M, "inv"))
+            if lead[c] in new:
+                if vlead[new[lead[c]]] != vlead[c]:
+                    raise CorruptTableError(
+                        f"tau({lead[c]}) = {vlead[new[lead[c]]]} vs {vlead[c]}")
+                continue
+            new[lead[c]] = c
+            table.entries[lead[c]] = (vlead[c], prov)
+            stack.append((_FLIP[c], "flip"))
+            stack.append((_INV[c], "inv"))
+        rows = list(new.values())
+        idx = rots[rows]
+        known[idx] = True
+        tau[idx] = rots[[6 + c for c in rows]]
 
     leaders_all = _coset_leaders(n)
 
@@ -393,11 +534,12 @@ def _sweep_flat(table):
             jarr = jarr[:_SWEEP_PREFIX]
         else:
             full_scan = True
+        tj = tau[jarr]       # fixed within the pass: known entries never change
         progressed = False
         for a in unknown_leaders:
             if known[a]:
                 continue  # derived earlier in this pass
-            v = tau[jarr] + a
+            v = tj + a
             v[v >= M] -= M
             c1 = known[v]
             if not c1.any():
@@ -412,7 +554,7 @@ def _sweep_flat(table):
             j = int(jarr[first])
             i0 = int(tau[(int(tau[j]) + int(a)) % M])
             val = (int(tau[(i0 - j) % M]) + j - int(tau[j])) % M
-            add_closed(int(a), val, "chain")
+            add_closed(int(a), val)
             progressed = True
         if progressed:
             full_scan = False
@@ -440,7 +582,7 @@ def _sweep_pairs(table, budget):
     check number budget + 1 ends the sweep before it is made.
     """
     M = table.modulus
-    dtype = np.int64 if table.n < 63 else object
+    dtype = _array_dtype(table.n)
     E = np.empty(0, dtype=dtype)
     V = np.empty(0, dtype=dtype)
     merged = 0

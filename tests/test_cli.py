@@ -4,8 +4,15 @@ import sys
 
 import pytest
 
-from zechbruijn import ZechTable, is_debruijn, seq_from_hex
+from zechbruijn import (
+    ZechTable,
+    build_zech_table,
+    is_debruijn,
+    poly_from_set_notation,
+    seq_from_hex,
+)
 from zechbruijn.cli import main
+from zechbruijn.gf2poly import degree
 
 
 def run(capsys, *argv):
@@ -371,3 +378,38 @@ def test_certify_budget_s_is_only_checked_for_the_sweep(capsys):
     code, out, _err = run(capsys, "certify", "--p", "n=10;{3}", "--t", "3",
                           "--budget-s", "0")
     assert code == 0 and out == "t=3 center=u0 witness={1} cp=5 dbseqs~2^4.64\n"
+
+
+@pytest.fixture(scope="module")
+def zech63():
+    """The default n=63 table: seed, sweeps and subfield lifts, partial.
+    Its build takes over 100 s and 0.7 GB on a 2-core VM, so the module
+    builds it once."""
+    return build_zech_table(poly_from_set_notation("n=63;{1}"))
+
+
+@pytest.mark.parametrize("argv,code,want", [
+    (("--p", "n=28;{3}", "--t", "3", "--budget-z", "200"), 0,
+     "t=3 center=u0 witness={1} cp=14 dbseqs~2^7.61\n"),
+    (("--p", "n=63;{1}", "--t", "7", "--budget-z", "200"), 0,
+     "t=7 center=u0 witness={1,9} cp=21 dbseqs~2^26.35\n"),
+    (("--p", "n=63;{1}", "--t", "60247241209", "--budget-z", "50"), 2,
+     "t=60247241209 center=u0: no star spanning tree found\n"),
+], ids=["n28_t3", "n63_t7", "n63_no_star"])
+def test_certify_on_partial_tables_above_the_cap(capsys, monkeypatch, request, argv, code, want):
+    # n=28 and n=63 are propagated, so many lookups of the walk miss
+    from zechbruijn import cli
+
+    build = cli.build_zech_table
+    monkeypatch.setattr(cli, "build_zech_table", lambda p: (
+        request.getfixturevalue("zech63") if degree(p) == 63 else build(p)))
+    assert run(capsys, "certify", *argv) == (code, want, "")
+
+
+def test_certify_huge_budget_z_is_not_allocated(capsys):
+    # the walk stops at the certificate, whatever --budget-z allows
+    default = run(capsys, "certify", "--p", "n=20;{3}", "--t", "205")
+    assert default == (0, "t=205 center=u0 witness={1,3,7,9,11,21,29,47,51,63,77} "
+                          "cp=1 dbseqs~2^0.0\n", "")
+    assert run(capsys, "certify", "--p", "n=20;{3}", "--t", "205",
+               "--budget-z", "1000000000") == default

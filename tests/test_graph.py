@@ -19,7 +19,10 @@ from zechbruijn import (
     export_dot,
     sample_spanning_tree,
 )
-from zechbruijn.graph import bareiss_determinant, log2_int
+from zechbruijn import graph as graph_mod
+from zechbruijn.gf2poly import degree
+from zechbruijn.graph import TreeCert, bareiss_determinant, log2_int
+from zechbruijn.zech import MissingEntryError, doubling_orbit
 
 from conftest import P5, P10, P20
 
@@ -332,3 +335,94 @@ def test_unreached_matches_networkx(case):
     reached = nx.node_connected_component(ref, 0)
     assert g.unreached() == sorted(v - 1 for v in ref if v not in reached)
     assert g.is_connected() == nx.is_connected(ref)
+
+
+def _scalar_certify_walk(p, f, t, table, center, z_max):
+    """Oracle: the certificate walk with one `resolve` call per exponent
+    and the orbit of each tau mod t built to test it."""
+    n = degree(p)
+    M = (1 << n) - 1
+    done = {center % t}
+    witness = []
+    delta = []
+    cert = TreeCert(n=n, p=p, t=t, f=f, center=center)
+    for k in range(1, z_max + 1):
+        w = 2 * k - 1
+        i = (w * t + center) % M
+        if i == 0:
+            continue
+        try:
+            L = table.resolve(i) % t
+        except MissingEntryError:
+            continue
+        orbit = doubling_orbit(L, t)
+        if min(orbit) in done:
+            continue
+        witness.append(w)
+        delta.append(i)
+        done.update(orbit)
+        if len(done) == t:
+            cp = n // len(orbit)
+            cert.witness = witness
+            cert.delta = delta
+            cert.cp = cp
+            cert.dbseqs = cp ** (t - 1)
+            cert.log2 = log2_int(cert.dbseqs)
+            cert.found = True
+            return cert
+    cert.witness = witness
+    cert.delta = delta
+    return cert
+
+
+def _certs_both_ways(monkeypatch, run):
+    got = run()
+    with monkeypatch.context() as m:
+        m.setattr(graph_mod, "_certify_walk", _scalar_certify_walk)
+        want = run()
+    return got, want
+
+
+@pytest.mark.parametrize("p,table,batch", [
+    (P10, "zech10", None), (P20, "zech20", None),
+    # small batches put a batch boundary inside every walk
+    (P10, "zech10", 1), (P10, "zech10", 7),
+])
+def test_certify_star_matches_scalar_walk(monkeypatch, request, p, table, batch):
+    table = request.getfixturevalue(table)
+    if batch is not None:
+        monkeypatch.setattr(graph_mod, "lookup_batch", lambda n: batch)
+    got, want = _certs_both_ways(monkeypatch, lambda: certify_star(p, zech=table))
+    assert got == want and len(got) > 0
+    assert [c.to_json() for c in got] == [c.to_json() for c in want]
+
+
+@pytest.mark.parametrize("ell", [1, 2, 3])
+def test_certify_almost_star_matches_scalar_walk(monkeypatch, zech20, ell):
+    got, want = _certs_both_ways(
+        monkeypatch, lambda: certify_almost_star(P20, 155, ell, zech=zech20))
+    assert got == want
+    assert got.to_json() == want.to_json()
+
+
+def test_certify_walk_on_a_partial_table_matches_scalar_walk(monkeypatch, zech20):
+    # every other coset dropped: the walk hunts with what resolves
+    partial = type(zech20)(zech20.n, p=zech20.p)
+    partial.entries = dict(list(zech20.entries.items())[::2])
+    for run in (lambda: certify_star(P20, zech=partial, ts=[41, 123, 155, 205]),
+                lambda: certify_almost_star(P20, 205, 2, zech=partial)):
+        got, want = _certs_both_ways(monkeypatch, run)
+        assert got == want
+
+
+def test_certify_walk_above_order_64_matches_scalar_walk(monkeypatch):
+    # Python-int arrays, batches below LOOKUP_BATCH, a table that misses
+    # nearly every lookup
+    from zechbruijn import poly_from_set_notation, zech_closure, zech_seed_trinomial
+
+    p = poly_from_set_notation("n=300;{7}")
+    table = zech_closure(zech_seed_trinomial(p))
+    for run in (lambda: certify_star(p, zech=table, ts=[11, 31]),
+                lambda: certify_almost_star(p, 11, 3, zech=table)):
+        got, want = _certs_both_ways(monkeypatch, run)
+        assert got == want

@@ -1,4 +1,6 @@
 import io
+import random
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -23,7 +25,14 @@ from zechbruijn import (
 from zechbruijn import zech as zech_mod
 from zechbruijn.cycles import primitive_polynomials
 from zechbruijn.gf2poly import lfsr_step, lfsr_taps
-from zechbruijn.zech import _leader_shift, coset_elements, doubling_orbit, num_cosets
+from zechbruijn.zech import (
+    _array_dtype,
+    _leader_shift,
+    _normalise,
+    coset_elements,
+    doubling_orbit,
+    num_cosets,
+)
 
 from conftest import P4, P10
 
@@ -130,6 +139,73 @@ def _pairs_sweep_oracle(table, budget, steps=None):
             return table
 
 
+def _flat_sweep_oracle(table):
+    """Oracle: the flat sweep that closes each chain entry one coset at a
+    time through `add_entry` and writes each orbit element by element."""
+    n, M = table.n, table.modulus
+    tau = table.to_array()
+    known = tau >= 0
+
+    def add_closed(k, v, prov):
+        stack = [(k, v, prov)]
+        while stack:
+            k, v, prov = stack.pop()
+            k %= M
+            v %= M
+            if k == 0 or v == 0:
+                continue
+            if known[k]:
+                if tau[k] != v:
+                    raise CorruptTableError(f"tau({k}) = {tau[k]} vs {v}")
+                continue
+            table.add_entry(k, v, prov)
+            for kk, vv in zip(doubling_orbit(k, M), doubling_orbit(v, M)):
+                known[kk] = True
+                tau[kk] = vv
+            stack.append((v, k, "flip"))
+            stack.append((M - k, (v - k) % M, "inv"))
+
+    leaders_all = zech_mod._coset_leaders(n)
+    full_scan = False
+    while True:
+        unknown_leaders = leaders_all[~known[leaders_all]]
+        if not len(unknown_leaders):
+            break
+        jarr = np.nonzero(known)[0]
+        if not full_scan and len(jarr) > zech_mod._SWEEP_PREFIX:
+            jarr = jarr[:zech_mod._SWEEP_PREFIX]
+        else:
+            full_scan = True
+        progressed = False
+        for a in unknown_leaders:
+            if known[a]:
+                continue
+            v = tau[jarr] + a
+            v[v >= M] -= M
+            c1 = known[v]
+            if not c1.any():
+                continue
+            idx1 = np.nonzero(c1)[0]
+            i = tau[v[idx1]]
+            d = (i - jarr[idx1]) % M
+            c2 = known[d]
+            if not c2.any():
+                continue
+            first = idx1[int(np.nonzero(c2)[0][0])]
+            j = int(jarr[first])
+            i0 = int(tau[(int(tau[j]) + int(a)) % M])
+            val = (int(tau[(i0 - j) % M]) + j - int(tau[j])) % M
+            add_closed(int(a), val, "chain")
+            progressed = True
+        if progressed:
+            full_scan = False
+        elif full_scan:
+            break
+        else:
+            full_scan = True
+    return table
+
+
 def test_coset_leaders_match_coset_leader():
     for n in range(1, 13):
         want = sorted({coset_leader(k, n)[0] for k in range(1, (1 << n) - 1)})
@@ -178,6 +254,100 @@ def test_pair_sweep_budget_cut_at_each_chain_step(spec):
             got = chain_sweep(zech_seed_trinomial(p), budget=budget)
             want = _pairs_sweep_oracle(_full_closure(zech_seed_trinomial(p)), budget)
             assert list(got.entries.items()) == list(want.entries.items()), budget
+
+
+@pytest.mark.parametrize("spec,lift,complete", [
+    ("n=10;{3}", True, True), ("n=17;{3}", True, True), ("n=20;{3}", True, True),
+    ("n=17;{6}", False, False), ("n=18;{7}", False, False), ("n=18;{7}", True, True),
+])
+def test_flat_sweep_matches_oracle(monkeypatch, spec, lift, complete):
+    # n=17;{6} stalls; n=18;{7} stalls without the lift and completes with it
+    p = poly_from_set_notation(spec)
+    got = build_zech_table(p, mode="propagate", lift=lift)
+    monkeypatch.setattr(zech_mod, "_sweep_flat", _flat_sweep_oracle)
+    want = build_zech_table(p, mode="propagate", lift=lift)
+    assert list(got.entries.items()) == list(want.entries.items())
+    assert got.complete == complete
+
+
+def test_flat_sweep_matches_oracle_seeded_random_primitives(monkeypatch):
+    rng = random.Random(9)
+    cases = []
+    for n in (5, 8, 11, 13, 16):
+        p = rng.choice(list(islice(primitive_polynomials(n), 12)))
+        brute = zech_bruteforce(p)
+        for k in rng.sample(range(1, (1 << n) - 1), 2):
+            cases.append((p, [(k, brute.resolve(k))]))
+    got = [build_zech_table(p, mode="propagate", seeds=seeds, lift=False)
+           for p, seeds in cases]
+    monkeypatch.setattr(zech_mod, "_sweep_flat", _flat_sweep_oracle)
+    for (p, seeds), table in zip(cases, got):
+        want = build_zech_table(p, mode="propagate", seeds=seeds, lift=False)
+        assert list(table.entries.items()) == list(want.entries.items()), (hex(p), seeds)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_normaliser_matches_leader_shift(data):
+    n = data.draw(st.integers(1, 130), label="n")
+    M = (1 << n) - 1
+    ks = data.draw(st.lists(st.integers(0, max(M - 1, 0)), min_size=1, max_size=20), label="ks")
+    lead, shift, rots = _normalise(np.array(ks, dtype=_array_dtype(n)), n)
+    assert list(zip(lead.tolist(), shift.tolist())) == [_leader_shift(k, M)[:2] for k in ks]
+    for k, row in zip(ks, rots.tolist()):
+        assert row == [k * pow(2, s, M) % M for s in range(n)]
+
+
+def _resolve_or_missing(table, k):
+    try:
+        return table.resolve(k)
+    except MissingEntryError:
+        return -1
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_resolve_many_matches_resolve_on_complete_tables(data):
+    n = data.draw(st.integers(2, 12), label="n")
+    polys = list(islice(primitive_polynomials(n), 8))
+    table = zech_bruteforce(data.draw(st.sampled_from(polys), label="p"))
+    ks = np.arange(1, table.modulus)
+    assert table.resolve_many(ks).tolist() == [table.resolve(k) for k in ks.tolist()]
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_resolve_many_matches_resolve_at_order20(zech20, seed):
+    M = zech20.modulus
+    ks = np.random.default_rng(seed).integers(1, M, size=1000)
+    # exponents outside [1, M) reduce as in resolve
+    ks[:10] += M
+    assert zech20.resolve_many(ks).tolist() == [zech20.resolve(int(k)) for k in ks]
+
+
+@pytest.mark.parametrize("build", [
+    lambda: zech_seed_trinomial(poly_from_set_notation("n=31;{3}")),
+    lambda: chain_sweep(zech_seed_trinomial(poly_from_set_notation("n=63;{1}")), budget=5_000),
+    # above n = 64 the lookups run in batches of fewer than LOOKUP_BATCH
+    lambda: zech_closure(zech_seed_trinomial(poly_from_set_notation("n=300;{7}"))),
+])
+def test_resolve_many_misses_exactly_where_resolve_raises(build):
+    table = build()
+    assert not table.complete
+    rng = random.Random(63)
+    near = [k for lead in list(table.entries)[:40] for k in doubling_orbit(lead, table.modulus)[:3]]
+    ks = near + [rng.randrange(1, table.modulus) for _ in range(500)]
+    got = table.resolve_many(ks).tolist()
+    want = [_resolve_or_missing(table, k) for k in ks]
+    assert got == want
+    assert 0 < sum(v >= 0 for v in got) < len(ks)
+
+
+def test_resolve_many_refuses_zero(zech10):
+    for ks in ([3, 0], [1023], [5, -1023]):
+        with pytest.raises(ValueError, match="undefined"):
+            zech10.resolve_many(ks)
+    assert zech10.resolve_many([]).tolist() == []
 
 
 def test_coset_leader():
@@ -452,6 +622,52 @@ def test_table_file_roundtrip(zech10):
     buf2 = io.StringIO()
     again.dump(buf2)
     assert buf2.getvalue() == text
+
+
+@pytest.mark.parametrize("text,message", [
+    ("zech v1 p=0x409 complete=1\n3 10 seed\n", "line 1: header has no n="),
+    ("zech v1 n=10 p\n", "line 1: header field 'p' is not key=value"),
+    ("zech v1 n=ten p=0x409\n", "line 1: n=ten and p=0x409 must be"),
+    ("zech v1 n=10 p=0xzz\n", "line 1: n=10 and p=0xzz must be"),
+    ("zech v1 n=0 p=-\n", "line 1: degree n=0 is below 1"),
+    ("zech v2 n=10\n", "line 1: not a zech v1 table file"),
+    ("zech v1 n=10 p=0x409\n3 10 seed\n\n5 7\n", "line 4: expected 'leader tau provenance'"),
+    ("zech v1 n=10 p=0x409\n3 10 seed extra\n", "line 2: expected 'leader tau provenance'"),
+    ("zech v1 n=10 p=0x409\n3 x seed\n", "line 2: leader and tau must be integers"),
+    ("zech v1 n=10 p=0x409\n3 10 bogus\n", "line 2: unknown provenance 'bogus'"),
+    ("zech v1 n=10 p=0x409\n1023 10 seed\n", r"line 2: tau is defined on \[1, 2\^n - 2\] only"),
+])
+def test_load_rejects_malformed_lines(text, message):
+    with pytest.raises(ValueError, match=message) as info:
+        ZechTable.load(io.StringIO(text))
+    assert type(info.value) is ValueError
+
+
+def test_load_keeps_line_order_and_rejects_conflicts(zech10):
+    # non-leaders normalise to their leaders; repeats of a coset are skipped
+    lines = ["zech v1 n=10 p=0x409 complete=0", f"6 {zech10.resolve(6)} chain",
+             f"1 {zech10.resolve(1)} flip", f"3 {zech10.resolve(3)} seed",
+             f"512 {zech10.resolve(512)} inv"]
+    table = ZechTable.load(io.StringIO("\n".join(lines) + "\n"))
+    assert list(table.entries.items()) == [(3, (10, "chain")), (1, (zech10.resolve(1), "flip"))]
+    lines.append(f"12 {(zech10.resolve(12) + 1) % 1023} seed")
+    with pytest.raises(CorruptTableError, match="line 6: tau\\(3\\)"):
+        ZechTable.load(io.StringIO("\n".join(lines) + "\n"))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_zech_table(poly_from_set_notation("n=18;{7}"), mode="propagate"),
+    lambda: chain_sweep(zech_seed_trinomial(poly_from_set_notation("n=127;{1}")), budget=2_000),
+])
+def test_table_file_roundtrip_is_byte_identical(build):
+    table = build()
+    buf = io.StringIO()
+    table.dump(buf)
+    again = ZechTable.load(io.StringIO(buf.getvalue()))
+    assert again.entries == table.entries
+    buf2 = io.StringIO()
+    again.dump(buf2)
+    assert buf2.getvalue() == buf.getvalue()
 
 
 def test_coset_elements_consistency():
