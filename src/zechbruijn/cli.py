@@ -14,7 +14,12 @@ import json
 import sys
 
 from .conjugacy import cyclotomic_numbers
-from .crossjoin import fryers_coefficients, fryers_total, random_crossjoin
+from .crossjoin import (
+    check_crossjoin_degree,
+    fryers_coefficients,
+    fryers_total,
+    random_crossjoin,
+)
 from .cycles import CycleCtx, check_t
 from .gf2poly import (
     degree,
@@ -212,6 +217,7 @@ def cmd_crossjoin(args):
     _check_least("--count", args.count, 1)
     ab = _parse_ab(args.ab) if args.ab else None
     p = poly_from_set_notation(args.p)
+    check_crossjoin_degree(degree(p))
     zech = build_zech_table(p)
     records = []
     for idx in range(args.count):

@@ -61,6 +61,14 @@ def apply_crossjoin(h, pair):
     return h ^ pair_product(n, ta << 1) ^ pair_product(n, tb << 1)
 
 
+def check_crossjoin_degree(n):
+    """Refuse n < 3: a < b < tau(a) < tau(b) needs four exponents in
+    [1, 2^n - 2], and below n = 3 there are at most two."""
+    if n < 3:
+        raise ValueError(f"cross-join needs n >= 3, got n = {n}: [1, 2^n - 2] "
+                         "holds no a < b < tau(a) < tau(b)")
+
+
 def random_crossjoin(p, zech=None, seed=None, ab=None, max_tries=10**6):
     """Sample a cross-join pair on the m-sequence of p and build the NLFSR.
 
@@ -70,6 +78,7 @@ def random_crossjoin(p, zech=None, seed=None, ab=None, max_tries=10**6):
     (pair, feedback, provenance).
     """
     n = degree(p)
+    check_crossjoin_degree(n)
     M = (1 << n) - 1
     if zech is None:
         zech = build_zech_table(p)

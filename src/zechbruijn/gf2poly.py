@@ -402,39 +402,15 @@ def seq_from_hex(text, period):
 # GF(2) linear algebra on int-bitmask rows
 
 def solve_gf2(rows, rhs):
-    """Solve R x = rhs over GF(2); rows are int bitmasks, rhs a bitmask.
-
-    Returns one solution as an int, or None when inconsistent. Columns are
-    bit positions of the row masks.
+    """Solve R x = rhs over GF(2) for a square R given as int bitmask rows:
+    bit i of rhs is the parity of rows[i] & x, so columns are bit
+    positions. Returns x as an int, or None when R is singular.
     """
-    rows = list(rows)
-    m = len(rows)
-    aug = [(rows[i] << 1) | ((rhs >> i) & 1) for i in range(m)]
-    pivots = []
-    r = 0
-    width = max((a.bit_length() for a in aug), default=0)
-    for col in range(width, 0, -1):
-        sel = None
-        for i in range(r, m):
-            if (aug[i] >> col) & 1:
-                sel = i
-                break
-        if sel is None:
-            continue
-        aug[r], aug[sel] = aug[sel], aug[r]
-        for i in range(m):
-            if i != r and (aug[i] >> col) & 1:
-                aug[i] ^= aug[r]
-        pivots.append((col, r))
-        r += 1
-    for i in range(r, m):
-        if aug[i] & 1:
-            return None
-    x = 0
-    for col, i in pivots:
-        if aug[i] & 1:
-            x |= 1 << (col - 1)
-    return x
+    inv = invert_gf2(rows, len(rows))
+    if inv is None:
+        return None
+    # x = R^-1 rhs: bit c of x is row c of the inverse dotted with rhs
+    return sum(((row & rhs).bit_count() & 1) << c for c, row in enumerate(inv))
 
 
 def invert_gf2(rows, n):

@@ -69,7 +69,9 @@ class AdjSubgraph:
     """Multigraph on the cycles of an LFSR: zero cycle + t nonzero cycles.
 
     Vertex indices: 0 is the zero cycle, 1 + i is cycle u_i. No loops; one
-    representative conjugate pair is kept per counted edge class.
+    representative conjugate pair is kept per counted edge class. A
+    union-find over the vertices, with its component count, is kept up
+    to date edge by edge.
     """
 
     def __init__(self, t):
@@ -78,6 +80,8 @@ class AdjSubgraph:
         self.mult = {}      # (u, v) with u < v -> multiplicity
         self.reps = {}      # (u, v) -> representative pair (k, tau_k)
         self._rep_rank = {}  # (u, v) -> (-tail weight, exponent)
+        self._parent = list(range(self.size))
+        self.components = self.size
 
     @staticmethod
     def _vertex(cycle):
@@ -96,6 +100,10 @@ class AdjSubgraph:
         if u > v:
             u, v = v, u
         self.mult[(u, v)] = self.mult.get((u, v), 0) + mult
+        ru, rv = _find(self._parent, u), _find(self._parent, v)
+        if ru != rv:
+            self._parent[ru] = rv
+            self.components -= 1
         if rep is not None:
             rank = (-rep_weight, rep)
             old = self._rep_rank.get((u, v))
@@ -142,21 +150,12 @@ class AdjSubgraph:
 
     def unreached(self):
         """Sorted indices of the cycles no path joins to the zero cycle."""
-        adj = {}
-        for (u, v) in self.mult:
-            adj.setdefault(u, []).append(v)
-            adj.setdefault(v, []).append(u)
-        seen = {0}
-        stack = [0]
-        while stack:
-            for w in adj.get(stack.pop(), ()):
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return [v - 1 for v in range(1, self.size) if v not in seen]
+        parent = self._parent
+        zero = _find(parent, 0)
+        return [v - 1 for v in range(1, self.size) if _find(parent, v) != zero]
 
     def is_connected(self):
-        return not self.unreached()
+        return self.components == 1
 
     def laplacian(self):
         """Degree matrix minus adjacency, multiplicities as weights."""
@@ -224,26 +223,20 @@ def count_spanning_trees(g):
 def connected_subgraph(ctx):
     """Smallest-first coset accumulation until every cycle is connected.
 
-    Adds the pair batches of j = 1, 2, ... (see `_coset_batches`) and
-    stops as soon as the graph spans all t + 1 vertices; returns the
-    disconnected graph when [1, 2^n - 2] runs out first.
+    Adds the pair batches of the table's coset leaders in ascending order
+    (see `_coset_batches`), which are the batches an ascending walk over
+    j = 1, 2, ... meets, and stops as soon as the graph spans all t + 1
+    vertices; returns the disconnected graph when the leaders run out
+    first.
     """
     g = AdjSubgraph(ctx.t)
     g.add_zero_edge()
-    parent = list(range(g.size))
-    parent[0] = 1              # the zero edge joins [0] to u_0
-    components = g.size - 1
-    batches = _coset_batches(ctx, range(1, ctx.modulus))
-    while components > 1:
+    batches = _coset_batches(ctx, sorted(ctx.zech.entries))
+    while g.components > 1:
         batch = next(batches, None)
         if batch is None:
             break
         g.add_batch(batch)
-        for ca, cb in batch.cycle_pairs():
-            ru, rv = _find(parent, 1 + ca), _find(parent, 1 + cb)
-            if ru != rv:
-                parent[ru] = rv
-                components -= 1
     return g
 
 

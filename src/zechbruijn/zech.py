@@ -87,9 +87,11 @@ def doubling_orbit(x, m):
 @lru_cache(maxsize=None)
 def _rotation_columns(n, dtype):
     """The column shifts s = 0..n-1 of `coset_rotations`, with n - s and
-    the low-bit masks 2^(n - s) - 1, as arrays of `dtype`."""
+    the low-bit masks 2^(n - s) - 1, as arrays of `dtype`. The masks are
+    made as Python ints, so 2^63 - 1 does not pass through a wrapped
+    int64 shift at n = 63."""
     s = np.arange(n).astype(dtype)
-    return s, n - s, (1 << (n - s)) - 1
+    return s, n - s, np.array([(1 << (n - c)) - 1 for c in range(n)], dtype=dtype)
 
 
 def coset_rotations(ks, n):
@@ -125,9 +127,10 @@ def lookup_batch(n):
 
 
 def _array_dtype(n):
-    """dtype of exponent arrays mod 2^n - 1: int64 below n = 63, where
-    sums of two exponents still fit, and Python ints (object) above."""
-    return np.int64 if n < 63 else object
+    """dtype of exponent arrays mod 2^n - 1: int64 through n = 63, where
+    every exponent and the difference of two still fit, and Python ints
+    (object) above. No array code adds two exponents."""
+    return np.int64 if n < 64 else object
 
 
 def coset_leader(k, n):
@@ -225,7 +228,8 @@ class ZechTable:
     def resolve_many(self, ks):
         """tau at each k of the integer array ks, -1 where the coset of k
         is not in the table; k = 0 mod 2^n - 1 raises ValueError, as in
-        `resolve`. int64 results below n = 63, Python ints above."""
+        `resolve`. Through n = 63 the k must fit int64 and the results are
+        int64; above, both are Python ints."""
         n, M = self.n, self.modulus
         ks = np.asarray(ks, dtype=_array_dtype(n)) % M
         if (ks == 0).any():
@@ -577,26 +581,25 @@ def _sweep_pairs(table, budget):
     progress. Used above the flat-array cap; `budget` caps pair checks.
 
     The table must be closed on entry. Known elements and their tau are
-    kept as sorted arrays E, V and extended with the orbits of new
-    cosets; row i tests every j != i at once, in ascending order, and
+    kept as sorted arrays E, V and extended with the rotations of new
+    cosets (a short coset repeats along its row, and `np.unique` keeps
+    one copy); row i tests every j != i at once, in ascending order, and
     check number budget + 1 ends the sweep before it is made.
     """
-    M = table.modulus
-    dtype = _array_dtype(table.n)
+    n, M = table.n, table.modulus
+    dtype = _array_dtype(n)
     E = np.empty(0, dtype=dtype)
     V = np.empty(0, dtype=dtype)
     merged = 0
     checked = 0
     while True:
-        ks, vs = [], []
-        for lead, (v, _) in islice(table.entries.items(), merged, None):
-            ks += doubling_orbit(lead, M)
-            vs += doubling_orbit(v, M)
+        new = list(islice(table.entries.items(), merged, None))
         merged = len(table.entries)
-        E = np.concatenate((E, np.array(ks, dtype=dtype)))
-        V = np.concatenate((V, np.array(vs, dtype=dtype)))
-        order = np.argsort(E, kind="stable")
-        E, V = E[order], V[order]
+        ks = np.array([lead for lead, _ in new], dtype=dtype)
+        vs = np.array([v for _, (v, _) in new], dtype=dtype)
+        E, first = np.unique(np.concatenate((E, coset_rotations(ks, n).ravel())),
+                             return_index=True)
+        V = np.concatenate((V, coset_rotations(vs, n).ravel()))[first]
         progressed = False
         for r in range(len(E)):
             d = (E[r] - E) % M
@@ -611,8 +614,8 @@ def _sweep_pairs(table, budget):
             checked += cost
             if q is None:
                 continue
-            td = V[np.searchsorted(E, d[q])]
-            table.add_entry(int(arg[hits[0]]), int((td + E[q] - V[q]) % M), "chain")
+            td = int(V[np.searchsorted(E, d[q])])
+            table.add_entry(int(arg[hits[0]]), (td + int(E[q]) - int(V[q])) % M, "chain")
             lead, (v, _) = next(reversed(table.entries.items()))
             _close_from(table, [(lead, v)])
             progressed = True

@@ -104,6 +104,13 @@ def test_debruijn_disconnected_graph_is_partial(capsys, monkeypatch):
                    f"{list(range(1, 31))}\n")
 
 
+def test_debruijn_on_a_partial_table_that_cannot_connect(capsys):
+    # the n=28 sweep table has 1498 cosets; the walk reads only those
+    code, out, err = run(capsys, "debruijn", "--p", "n=28;{3}", "--t", "18705")
+    assert code == 2 and out == ""
+    assert err.startswith("error: adjacency graph disconnected; unreached cycles [")
+
+
 def test_debruijn_dot_output(capsys):
     code, out, _err = run(capsys, "debruijn", "--p", "n=4;{1}", "--t", "3",
                           "--format", "dot")
@@ -173,6 +180,15 @@ def test_debruijn_rejects_negative_count(capsys):
                          "--count", "-1")
     assert code == 3 and out == ""
     assert err == "error: --count must be at least 0, got -1\n"
+
+
+@pytest.mark.parametrize("spec,n", [("n=1;{}", 1), ("n=2;{1}", 2)])
+def test_crossjoin_below_order_3_exits_3_before_building(capsys, monkeypatch, spec, n):
+    _refuse_table_builds(monkeypatch)
+    code, out, err = run(capsys, "crossjoin", "--p", spec)
+    assert code == 3 and out == ""
+    assert err == (f"error: cross-join needs n >= 3, got n = {n}: [1, 2^n - 2] "
+                   "holds no a < b < tau(a) < tau(b)\n")
 
 
 def test_crossjoin_where_propagation_stalls(capsys):
@@ -383,7 +399,7 @@ def test_certify_budget_s_is_only_checked_for_the_sweep(capsys):
 @pytest.fixture(scope="module")
 def zech63():
     """The default n=63 table: seed, sweeps and subfield lifts, partial.
-    Its build takes over 100 s and 0.7 GB on a 2-core VM, so the module
+    Its build takes about 6 s and 0.35 GB on a 2-core VM, so the module
     builds it once."""
     return build_zech_table(poly_from_set_notation("n=63;{1}"))
 

@@ -261,3 +261,12 @@ def test_gf2_linear_algebra():
         for i in range(n):
             got |= ((x & rows[i]).bit_count() & 1) << i
         assert got == rhs
+
+
+def test_solve_gf2_singular_system_is_none():
+    # row 2 = row 0 + row 1, so R is singular whatever rhs is, consistent or not
+    rows = [0b011, 0b110, 0b101]
+    assert g.invert_gf2(rows, 3) is None
+    for rhs in (0b000, 0b111, 0b001):
+        assert g.solve_gf2(rows, rhs) is None
+    assert g.solve_gf2([0b10, 0b10], 0b11) is None

@@ -9,6 +9,9 @@ from hypothesis import strategies as st
 
 from zechbruijn import (
     AdjSubgraph,
+    CycleCtx,
+    ZechTable,
+    associated_irreducible,
     build_subgraph,
     certify_almost_star,
     certify_star,
@@ -18,8 +21,10 @@ from zechbruijn import (
     deterministic_spanning_tree,
     export_dot,
     sample_spanning_tree,
+    zech_bruteforce,
 )
 from zechbruijn import graph as graph_mod
+from zechbruijn.cycles import primitive_polynomials
 from zechbruijn.gf2poly import degree
 from zechbruijn.graph import TreeCert, bareiss_determinant, log2_int
 from zechbruijn.zech import MissingEntryError, doubling_orbit
@@ -324,17 +329,71 @@ _multigraphs = st.integers(1, 9).flatmap(lambda t: st.tuples(
 @settings(max_examples=300, deadline=None)
 @given(_multigraphs)
 def test_unreached_matches_networkx(case):
+    # the union-find is kept up to date: check it after every edge
     t, edges = case
     g = AdjSubgraph(t)
     ref = nx.MultiGraph()
     ref.add_nodes_from(range(t + 1))
+
+    def check():
+        reached = nx.node_connected_component(ref, 0)
+        assert g.unreached() == sorted(v - 1 for v in ref if v not in reached)
+        assert g.is_connected() == nx.is_connected(ref)
+        assert g.components == nx.number_connected_components(ref)
+
+    check()
     for u, v, m in edges:
         if u != v:
             g.add_edge(None if u == 0 else u - 1, None if v == 0 else v - 1, m)
             ref.add_edges_from([(u, v)] * m)
-    reached = nx.node_connected_component(ref, 0)
-    assert g.unreached() == sorted(v - 1 for v in ref if v not in reached)
-    assert g.is_connected() == nx.is_connected(ref)
+            check()
+
+
+def _ascending_walk_subgraph(ctx):
+    """Oracle: the coset walk over every exponent j = 1, 2, ..., 2^n - 2,
+    with its own union-find over the cycle pairs of each batch."""
+    g = AdjSubgraph(ctx.t)
+    g.add_zero_edge()
+    parent = list(range(g.size))
+    parent[0] = 1              # the zero edge joins [0] to u_0
+    components = g.size - 1
+    batches = graph_mod._coset_batches(ctx, range(1, ctx.modulus))
+    while components > 1:
+        batch = next(batches, None)
+        if batch is None:
+            break
+        g.add_batch(batch)
+        for ca, cb in batch.cycle_pairs():
+            ru, rv = graph_mod._find(parent, 1 + ca), graph_mod._find(parent, 1 + cb)
+            if ru != rv:
+                parent[ru] = rv
+                components -= 1
+    return g
+
+
+def test_connected_subgraph_matches_ascending_walk_oracle():
+    # the leader walk meets the batches of the exponent walk, in order, on
+    # complete tables and on tables holding every other coset
+    checked = 0
+    cases = [(n, p) for n in range(2, 13)
+             for p in itertools.islice(primitive_polynomials(n), 2)]
+    for n, p in cases:
+        zech = zech_bruteforce(p)
+        half = ZechTable(n, p=p)
+        half.entries = dict(list(zech.entries.items())[::2])
+        M = (1 << n) - 1
+        for t in (t for t in range(1, M) if M % t == 0):
+            if not associated_irreducible(p, t)[1]:
+                continue
+            for table in (zech, half):
+                ctx = CycleCtx(p, t, zech=table)
+                got, want = connected_subgraph(ctx), _ascending_walk_subgraph(ctx)
+                assert got.edges() == want.edges(), (p, t)
+                assert got.reps == want.reps, (p, t)
+                assert got.unreached() == want.unreached(), (p, t)
+                assert got.is_connected() or table is half, (p, t)
+            checked += 1
+    assert checked == 77
 
 
 def _scalar_certify_walk(p, f, t, table, center, z_max):

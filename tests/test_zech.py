@@ -242,8 +242,9 @@ def test_pair_sweep_matches_oracle(monkeypatch, spec, budget):
     assert any(prov == "chain" for _, prov in got.entries.values())
 
 
-@pytest.mark.parametrize("spec", ["n=31;{3}", "n=127;{1}"])
+@pytest.mark.parametrize("spec", ["n=31;{3}", "n=63;{1}", "n=127;{1}"])
 def test_pair_sweep_budget_cut_at_each_chain_step(spec):
+    # n=63 is the last degree whose sweep runs on int64 arrays
     # budget c makes the chain step found at check number c, c - 1 does not
     p = poly_from_set_notation(spec)
     steps = []
@@ -254,6 +255,15 @@ def test_pair_sweep_budget_cut_at_each_chain_step(spec):
             got = chain_sweep(zech_seed_trinomial(p), budget=budget)
             want = _pairs_sweep_oracle(_full_closure(zech_seed_trinomial(p)), budget)
             assert list(got.entries.items()) == list(want.entries.items()), budget
+
+
+def test_pair_sweep_chain_value_is_exact_at_order63():
+    # at n=63 the chain value tau(i - j) + j - tau(j) passes 2^63 - 1 before
+    # its reduction mod 2^63 - 1 at some step within this budget
+    p = poly_from_set_notation("n=63;{1}")
+    got = chain_sweep(zech_seed_trinomial(p), budget=500_000)
+    want = _pairs_sweep_oracle(_full_closure(zech_seed_trinomial(p)), 500_000)
+    assert list(got.entries.items()) == list(want.entries.items())
 
 
 @pytest.mark.parametrize("spec,lift,complete", [
