@@ -5,12 +5,7 @@ spanning-tree counting and certification, cross-join pairing, and the
 product-of-irreducibles extension, with a CLI on top.
 """
 
-from .conjugacy import (
-    CosetPairBatch,
-    conjugate_of,
-    cyclotomic_numbers,
-    pairs_from_coset,
-)
+from .conjugacy import conjugate_of, cyclotomic_numbers
 from .crossjoin import (
     CrossJoinPair,
     apply_crossjoin,

@@ -5,9 +5,9 @@ beta = alpha^t (alpha a root of the associated primitive p), the state
 space splits into the zero cycle plus t cycles of period e. Fixing
 (1, 0, ..., 0) as the initial state of the 0th cycle pins a canonical
 phase for every cycle, and the map phi sending alpha^k to an n-bit state
-becomes computable in both directions: exponent -> state by modular
-polynomial powers, state -> exponent by a triangular solve plus Zech
-logarithm folding.
+becomes computable in both directions: exponent -> state by one modular
+power and n precomputed parity rows, state -> exponent by a triangular
+solve plus Zech logarithm folding.
 """
 
 from dataclasses import dataclass
@@ -16,6 +16,7 @@ from .gf2poly import (
     associated_irreducible,
     degree,
     is_primitive,
+    lfsr_advance,
     lfsr_bits,
     poly_mod,
     poly_mul,
@@ -73,7 +74,8 @@ class CycleCtx:
     """Decimation context tying p, f = associated_irreducible(p, t), and t.
 
     Carries the seed state of the m-sequence, the modular power of x^t,
-    and (optionally) a Zech table for position lookups.
+    the n rows of the state map (row i is the m-sequence state i*t clocks
+    after the seed) and (optionally) a Zech table for position lookups.
     """
 
     def __init__(self, p, t, zech=None, f=None):
@@ -99,6 +101,17 @@ class CycleCtx:
         self.zech = zech
         self.seed = u0_seed_state(p, t)
         self.xt = poly_powmod(2, t, p)
+        self.rows = [self.seed]
+        for _ in range(n - 1):
+            self.rows.append(lfsr_advance(p, self.rows[-1], self.xt))
+
+    def state_of(self, c):
+        """phi of the field element with polynomial c mod p: bit i is the
+        parity of row i & c."""
+        v = 0
+        for i, row in enumerate(self.rows):
+            v |= ((row & c).bit_count() & 1) << i
+        return v
 
     def u_sequence(self, i):
         """The full cycle u_i as a bit list of period e (small n only)."""
@@ -111,13 +124,12 @@ class CycleCtx:
 
 
 def exponent_to_state(ctx, k):
-    """phi(alpha^k): window of the t-decimated m-sequence at exponent k."""
-    c = poly_powmod(2, k % ctx.modulus, ctx.p)
-    v = 0
-    for i in range(ctx.n):
-        v |= ((ctx.seed & c).bit_count() & 1) << i
-        c = poly_mod(poly_mul(c, ctx.xt), ctx.p)
-    return v
+    """phi(alpha^k): window of the t-decimated m-sequence at exponent k.
+
+    Bit i is s_(k + i*t), the first coordinate of R_i * A_p^k for row
+    R_i of the context, which is the parity of R_i & (x^k mod p).
+    """
+    return ctx.state_of(poly_powmod(2, k % ctx.modulus, ctx.p))
 
 
 def state_to_exponent(ctx, v):

@@ -187,15 +187,17 @@ def lfsr_bits(p, state, length):
 
 
 def lfsr_state_at(p, v, e):
-    """State v advanced e steps: v * A_p^e for the companion matrix A_p.
+    """State v advanced e steps: v * A_p^e for the companion matrix A_p,
+    at one polynomial power plus n register clocks however large e is."""
+    return lfsr_advance(p, v, poly_powmod(2, e, p))
 
-    Uses x^e mod p: A_p satisfies p(A_p) = 0, so A_p^e expands over the
-    first n powers of A_p with the coefficients of x^e mod p. Costs one
-    polynomial power plus n register clocks however large e is.
-    """
+
+def lfsr_advance(p, v, c):
+    """v * c(A_p) in n register clocks: state v advanced e steps when
+    c = x^e mod p, since p(A_p) = 0 lets A_p^e expand over the first n
+    powers of A_p with the coefficients of x^e mod p."""
     n = degree(p)
     taps = lfsr_taps(p)
-    c = poly_powmod(2, e, p)
     out = 0
     w = v
     for i in range(n):
@@ -214,7 +216,7 @@ def mseq_states(p):
 
     Clocks the first 256 states, then doubles the filled prefix of B
     states with the linear map v -> v * A_p^B, applied through one
-    256-entry lookup table per state byte (built from lfsr_state_at on
+    256-entry lookup table per state byte (built from lfsr_advance on
     basis vectors). int32 where 2^n fits, int64 otherwise.
     """
     n = degree(p)
@@ -229,10 +231,11 @@ def mseq_states(p):
         v = lfsr_step(v, taps, n)
     while filled < M:
         luts = []
+        jump = poly_powmod(2, filled, p)
         for low in range(0, n, 8):
             lut = np.zeros(256, dtype=dtype)
             for j in range(min(8, n - low)):
-                image = lfsr_state_at(p, 1 << (low + j), filled)
+                image = lfsr_advance(p, 1 << (low + j), jump)
                 lut[1 << j:2 << j] = lut[:1 << j] ^ image
             luts.append((low, lut))
         take = min(filled, M - filled)

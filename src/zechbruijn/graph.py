@@ -14,9 +14,8 @@ import random
 from dataclasses import dataclass, field
 from itertools import compress
 
-from .conjugacy import pairs_from_coset
 from .cycles import check_t
-from .gf2poly import degree, poly_to_set_notation
+from .gf2poly import degree, poly_mod, poly_mul, poly_powmod, poly_to_set_notation
 from .zech import (
     MissingEntryError,
     build_zech_table,
@@ -68,10 +67,10 @@ def bareiss_determinant(mat):
 class AdjSubgraph:
     """Multigraph on the cycles of an LFSR: zero cycle + t nonzero cycles.
 
-    Vertex indices: 0 is the zero cycle, 1 + i is cycle u_i. No loops; one
-    representative conjugate pair is kept per counted edge class. A
-    union-find over the vertices, with its component count, is kept up
-    to date edge by edge.
+    Vertex indices: 0 is the zero cycle, 1 + i is cycle u_i. No loops; the
+    multiplicity of an edge counts each distinct conjugate pair once, and
+    one representative pair is kept per edge class. A union-find over the
+    vertices, with its component count, is kept up to date edge by edge.
     """
 
     def __init__(self, t):
@@ -115,19 +114,20 @@ class AdjSubgraph:
         """The unique pair joining [0] and [u_0]."""
         self.add_edge(None, 0, 1, rep=(0, 0))
 
-    def add_batch(self, batch):
-        """Accumulate a CosetPairBatch, one representative pair per edge."""
-        from .cycles import exponent_to_state
+    def add_pairs(self, ctx, pairs):
+        """Add one coset's (a, tau(a), multiplicity) triples from
+        `_coset_pairs`, each pair a candidate representative of its edge.
 
-        ctx = batch.ctx
-        t = ctx.t
-        # a batch has j != tau(j) mod t, and doubling mod an odd t keeps
-        # the two apart: no pair lands both ends on one cycle
-        for a, b in batch.exponent_pairs()[:batch.cycle_pair_count]:
-            tail = exponent_to_state(ctx, a) >> 1
-            self.add_edge(a % t, b % t, batch.pairs_per_cycle,
-                          rep=(min(a, b), max(a, b)),
+        Each a doubles the one before, so x^a mod p, which gives the state
+        of a, is the previous one squared.
+        """
+        t, p = ctx.t, ctx.p
+        c = poly_powmod(2, pairs[0][0], p) if pairs else 0
+        for a, b, mult in pairs:
+            tail = ctx.state_of(c) >> 1
+            self.add_edge(a % t, b % t, mult, rep=(min(a, b), max(a, b)),
                           rep_weight=tail.bit_count())
+            c = poly_mod(poly_mul(c, c), p)
 
     def multiplicity(self, ci, cj):
         u, v = self._vertex(ci), self._vertex(cj)
@@ -176,37 +176,48 @@ def _find(parent, x):
     return x
 
 
-def _coset_batches(ctx, js):
-    """Pair batches of the distinct cosets of the exponents js, in order.
+def _coset_pairs(ctx, js):
+    """Candidate pairs of the distinct cosets of the exponents js, one list
+    of (2^s j, 2^s tau(j), n_j // c) per coset, in order.
+
+    The cycle pair of (2^s j, 2^s tau(j)) repeats with period c, the lcm
+    of the orbit sizes of j and tau(j) mod t, so s < c meets each ordered
+    cycle pair once, with n_j // c pairs. When tau(j) lies in j's own
+    coset, pair s + n_j/2 is pair s reversed and pair s + c/2 lands on
+    the cycle pair of pair s reversed, so s < c/2 there.
 
     Each Zech entry and its Flip mirror describe the same pair set, so a
     coset already covered from either side is skipped, as is one whose
     entry the table lacks; a coset joining a cycle to itself covers its
     mirror but yields nothing.
     """
+    n, t, M = ctx.n, ctx.t, ctx.modulus
     covered = set()
     for j in js:
-        lead, _ = coset_leader(j, ctx.n)
+        lead, nj = coset_leader(j, n)
         if lead in covered:
             continue
         try:
             tau_j = ctx.zech.resolve(j)
         except MissingEntryError:
             continue
+        mirror = coset_leader(tau_j, n)[0]
         covered.add(lead)
-        covered.add(coset_leader(tau_j, ctx.n)[0])
-        batch = pairs_from_coset(ctx, j, tau_j)
-        if batch is not None:
-            yield batch
+        covered.add(mirror)
+        if j % t == tau_j % t:
+            continue
+        c = math.lcm(len(doubling_orbit(j, t)), len(doubling_orbit(tau_j, t)))
+        take = c // 2 if mirror == lead else c
+        yield [((j << s) % M, (tau_j << s) % M, nj // c) for s in range(take)]
 
 
 def build_subgraph(ctx, cosets):
-    """Graph from the batches of the given coset representatives, plus
-    the zero-cycle edge (see `_coset_batches` for what is skipped)."""
+    """Graph from the pairs of the given coset representatives, plus the
+    zero-cycle edge (see `_coset_pairs` for what is skipped)."""
     g = AdjSubgraph(ctx.t)
     g.add_zero_edge()
-    for batch in _coset_batches(ctx, cosets):
-        g.add_batch(batch)
+    for pairs in _coset_pairs(ctx, cosets):
+        g.add_pairs(ctx, pairs)
     return g
 
 
@@ -223,20 +234,17 @@ def count_spanning_trees(g):
 def connected_subgraph(ctx):
     """Smallest-first coset accumulation until every cycle is connected.
 
-    Adds the pair batches of the table's coset leaders in ascending order
-    (see `_coset_batches`), which are the batches an ascending walk over
-    j = 1, 2, ... meets, and stops as soon as the graph spans all t + 1
-    vertices; returns the disconnected graph when the leaders run out
-    first.
+    Adds the pairs of the table's coset leaders in ascending order (see
+    `_coset_pairs`), which are the cosets an ascending walk over
+    j = 1, 2, ... meets, and stops after the first whole coset with which
+    the graph spans all t + 1 vertices; returns the disconnected graph
+    when the leaders run out first.
     """
     g = AdjSubgraph(ctx.t)
     g.add_zero_edge()
-    batches = _coset_batches(ctx, sorted(ctx.zech.entries))
-    while g.components > 1:
-        batch = next(batches, None)
-        if batch is None:
-            break
-        g.add_batch(batch)
+    cosets = _coset_pairs(ctx, sorted(ctx.zech.entries))
+    while g.components > 1 and (pairs := next(cosets, None)) is not None:
+        g.add_pairs(ctx, pairs)
     return g
 
 

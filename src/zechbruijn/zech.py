@@ -228,10 +228,14 @@ class ZechTable:
     def resolve_many(self, ks):
         """tau at each k of the integer array ks, -1 where the coset of k
         is not in the table; k = 0 mod 2^n - 1 raises ValueError, as in
-        `resolve`. Through n = 63 the k must fit int64 and the results are
-        int64; above, both are Python ints."""
+        `resolve`. Through n = 63 the results are int64, and a k outside
+        int64 is first reduced mod 2^n - 1 as a Python int; above, both are
+        Python ints."""
         n, M = self.n, self.modulus
-        ks = np.asarray(ks, dtype=_array_dtype(n)) % M
+        try:
+            ks = np.asarray(ks, dtype=_array_dtype(n)) % M
+        except OverflowError:
+            ks = np.asarray([int(k) % M for k in ks], dtype=_array_dtype(n))
         if (ks == 0).any():
             raise ValueError("tau(0) is undefined (1 + 1 = 0)")
         get = self.entries.get

@@ -64,6 +64,15 @@ def test_debruijn_walkthrough_sequence(capsys):
     assert payload["spanning_trees"] == "4"
 
 
+def test_debruijn_counts_self_mirror_pairs_once(capsys):
+    # tau(7) = 224 lies in the coset of 7: its 5 distinct pairs give the
+    # u_1-u_2 edge multiplicity 5, not 10, and the graph 75 trees
+    code, out, _err = run(capsys, "debruijn", "--p", "n=10;{4,3,1}", "--t", "3",
+                          "--count", "0")
+    assert code == 0
+    assert "spanning trees = 75 (~2^6.23)" in out.splitlines()
+
+
 def test_debruijn_order10_window_verified(capsys):
     code, out, _err = run(capsys, "debruijn", "--p", "n=10;{3}", "--t", "31",
                           "--count", "2", "--seed", "5", "--format", "json")

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import islice
 
 import pytest
@@ -7,10 +8,10 @@ from zechbruijn import (
     CycleCtx,
     associated_irreducible,
     conjugate_of,
+    coset_leader,
     cycle_position,
     cyclotomic_numbers,
     exponent_to_state,
-    pairs_from_coset,
     poly_from_set_notation,
     zech_bruteforce,
     zech_closure,
@@ -18,6 +19,7 @@ from zechbruijn import (
 )
 from zechbruijn.cycles import ZERO_CYCLE, primitive_polynomials
 from zechbruijn.gf2poly import poly_mod, poly_mul, state_from_bits
+from zechbruijn.graph import _coset_pairs
 
 from conftest import P4, P10
 
@@ -71,11 +73,12 @@ def test_pairs_from_coset_order300():
     p300 = poly_from_set_notation("n=300;{7}")
     table = zech_closure(zech_seed_trinomial(p300))
     ctx = CycleCtx(p300, 31, zech=table)
-    batch = pairs_from_coset(ctx, 7)
-    assert batch.nj == 300
-    assert batch.cycle_pair_count == 5 and batch.pairs_per_cycle == 60
-    assert batch.cycle_pairs() == [(7, 21), (14, 11), (28, 22), (25, 13), (19, 26)]
-    a, b = batch.exponent_pairs()[0]
+    pairs = next(_coset_pairs(ctx, [7]))
+    assert coset_leader(7, 300) == (7, 300)
+    assert [m for _a, _b, m in pairs] == [60] * 5
+    assert [(a % 31, b % 31) for a, b, _m in pairs] == [
+        (7, 21), (14, 11), (28, 22), (25, 13), (19, 26)]
+    a, b, _m = pairs[0]
     left, right = cycle_position(ctx, a), cycle_position(ctx, b)
     assert (left.cycle, left.offset) == (7, 0)
     assert (right.cycle, right.offset) == (21, 9)
@@ -83,30 +86,48 @@ def test_pairs_from_coset_order300():
 
 def test_pairs_from_coset_zero_side(ctx10):
     # an exponent with tau(k) = 0 mod t joins cycles to u_0
-    batch = pairs_from_coset(ctx10, 85)
+    pairs = next(_coset_pairs(ctx10, [85]))
     assert ctx10.zech.resolve(85) % 31 == 0
-    assert all(b == 0 for _a, b in batch.cycle_pairs())
-    lefts = {a for a, _b in batch.cycle_pairs()}
+    assert all(b % 31 == 0 for _a, b, _m in pairs)
+    lefts = {a % 31 for a, _b, _m in pairs}
     assert lefts == {85 % 31 * pow(2, s, 31) % 31 for s in range(5)}
 
 
 def test_pairs_from_coset_same_cycle_signal(ctx10):
     assert ctx10.zech.resolve(341) % 31 == 341 % 31
-    assert pairs_from_coset(ctx10, 341) is None
+    assert list(_coset_pairs(ctx10, [341])) == []
+
+
+def _pair_counts(ctx, j):
+    """Oracle: every pair (2^s j, 2^s tau(j)) of the coset of j, counted
+    once per distinct unordered pair, by unordered cycle pair."""
+    M = ctx.modulus
+    seen = set()
+    per = Counter()
+    a, b = j, ctx.zech.resolve(j)
+    for _ in range(coset_leader(j, ctx.n)[1]):
+        left, right = cycle_position(ctx, a), cycle_position(ctx, b)
+        assert conjugate_of(ctx, a) == right
+        if (min(a, b), max(a, b)) not in seen:
+            seen.add((min(a, b), max(a, b)))
+            per[frozenset((left.cycle, right.cycle))] += 1
+        a, b = 2 * a % M, 2 * b % M
+    return per
 
 
 def test_batch_pair_count_matches_iteration(ctx10):
-    batch = pairs_from_coset(ctx10, 3)
-    pairs = batch.exponent_pairs()
-    assert len(pairs) == batch.nj
-    per = {}
-    for a, b in pairs:
-        left, right = cycle_position(ctx10, a), cycle_position(ctx10, b)
-        assert conjugate_of(ctx10, a) == right
-        key = (left.cycle, right.cycle)
-        per[key] = per.get(key, 0) + 1
-    assert len(per) == batch.cycle_pair_count
-    assert set(per.values()) == {batch.pairs_per_cycle}
+    # a coset and its mirror are distinct (j = 3), or one coset holds each
+    # pair twice, once reversed (j = 7 at t = 3 of x^10 + x^4 + x^3 + x + 1)
+    p = poly_from_set_notation("n=10;{4,3,1}")
+    mirror = CycleCtx(p, 3, zech=zech_bruteforce(p))
+    assert coset_leader(mirror.zech.resolve(7), 10)[0] == 7
+    for ctx, j in ((ctx10, 3), (mirror, 7)):
+        pairs = next(_coset_pairs(ctx, [j]))
+        got = Counter()
+        for a, b, m in pairs:
+            got[frozenset((a % ctx.t, b % ctx.t))] += m
+        assert got == _pair_counts(ctx, j)
+        assert len(got) == len(pairs)
 
 
 def _field_log_table(p):

@@ -1,5 +1,6 @@
 import math
 import random
+from itertools import islice
 
 import pytest
 
@@ -10,11 +11,18 @@ from zechbruijn import (
     exponent_to_state,
     find_associated_primitive,
     lfsr_bits,
+    poly_from_set_notation,
     state_to_exponent,
     zech_bruteforce,
 )
-from zechbruijn.cycles import ZERO_CYCLE, u0_seed_state
-from zechbruijn.gf2poly import berlekamp_massey, state_from_bits
+from zechbruijn.cycles import ZERO_CYCLE, primitive_polynomials, u0_seed_state
+from zechbruijn.gf2poly import (
+    berlekamp_massey,
+    poly_mod,
+    poly_mul,
+    poly_powmod,
+    state_from_bits,
+)
 
 from conftest import F4, P4, P10, decimate
 
@@ -62,6 +70,44 @@ def test_ctx_rejects_invalid_t():
 def test_exponent_to_state_full_table(ctx4):
     for k, bits in PHI4.items():
         assert exponent_to_state(ctx4, k) == state_from_bits(bits)
+
+
+def _exponent_to_state_loop(ctx, k):
+    """Oracle: bit i is the parity of seed & (x^(k + i*t) mod p), one
+    modular product per bit."""
+    c = poly_powmod(2, k % ctx.modulus, ctx.p)
+    v = 0
+    for i in range(ctx.n):
+        v |= ((ctx.seed & c).bit_count() & 1) << i
+        c = poly_mod(poly_mul(c, ctx.xt), ctx.p)
+    return v
+
+
+@pytest.mark.parametrize("spec,t,draws", [
+    ("n=4;{1}", 3, 50), ("n=10;{3}", 31, 200), ("n=20;{3}", 205, 200), ("n=300;{7}", 31, 6),
+])
+def test_exponent_to_state_matches_per_bit_oracle(spec, t, draws):
+    ctx = CycleCtx(poly_from_set_notation(spec), t)
+    rng = random.Random(t)
+    ks = [0, 1, ctx.modulus - 1, ctx.modulus + 5] + [rng.randrange(ctx.modulus)
+                                                   for _ in range(draws)]
+    for k in ks:
+        assert exponent_to_state(ctx, k) == _exponent_to_state_loop(ctx, k), k
+
+
+def test_exponent_to_state_reads_the_m_sequence():
+    # bit i of phi(alpha^k) is s_(k + i*t) of the m-sequence from the seed
+    for n in range(2, 11):
+        M = (1 << n) - 1
+        for p in islice(primitive_polynomials(n), 2):
+            for t in (t for t in range(1, M) if M % t == 0):
+                if not associated_irreducible(p, t)[1]:
+                    continue
+                ctx = CycleCtx(p, t)
+                bits = lfsr_bits(p, ctx.seed, M)
+                for k in range(M):
+                    want = sum(bits[(k + i * t) % M] << i for i in range(n))
+                    assert exponent_to_state(ctx, k) == want, (p, t, k)
 
 
 def test_state_to_exponent(ctx4):

@@ -4,7 +4,7 @@ import zechbruijn
 
 # every public name of the package; a new export is a change to this list
 PUBLIC_NAMES = [
-    "AdjSubgraph", "Anf", "CorruptTableError", "CosetPairBatch", "CrossJoinPair",
+    "AdjSubgraph", "Anf", "CorruptTableError", "CrossJoinPair",
     "CycleCtx", "CyclePos", "MissingEntryError", "NlfsrFeedback", "ProductCtx",
     "ProductCycleLabel", "ResourceCapError", "SpanningTree", "TreeCert", "ZechTable",
     "anf_bits", "anf_stream", "apply_crossjoin", "associated_irreducible",
@@ -15,7 +15,7 @@ PUBLIC_NAMES = [
     "export_dot", "feedback_of_debruijn", "find_associated_primitive",
     "fryers_coefficient", "fryers_coefficients", "fryers_total", "generate_debruijn",
     "insert_zero", "is_debruijn", "is_irreducible", "is_primitive", "join_feedback",
-    "lfsr_bits", "lfsr_state_at", "pair_product", "pairs_from_coset",
+    "lfsr_bits", "lfsr_state_at", "pair_product",
     "patched_lfsr_bits", "poly_from_set_notation", "poly_to_set_notation",
     "product_conjugate", "product_cycle_of", "product_cycle_structure",
     "random_crossjoin", "sample_spanning_tree", "seq_from_hex", "seq_to_hex",

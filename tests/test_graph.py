@@ -1,6 +1,7 @@
 import itertools
 import random
 import re
+from collections import Counter
 
 import networkx as nx
 import pytest
@@ -20,6 +21,7 @@ from zechbruijn import (
     cyclotomic_numbers,
     deterministic_spanning_tree,
     export_dot,
+    exponent_to_state,
     sample_spanning_tree,
     zech_bruteforce,
 )
@@ -125,14 +127,74 @@ def test_build_subgraph_empty_cosets(ctx10):
     assert g.edges() == [(0, 1, 1)]
 
 
+def _valid_cases(n_max, per_n=2):
+    """(p, t) for the first `per_n` primitive p of each degree 2..n_max and
+    every valid t."""
+    for n in range(2, n_max + 1):
+        M = (1 << n) - 1
+        for p in itertools.islice(primitive_polynomials(n), per_n):
+            for t in range(1, M):
+                if M % t == 0 and associated_irreducible(p, t)[1]:
+                    yield p, t
+
+
 def test_full_subgraph_matches_cyclotomic_numbers(ctx10):
     g = build_subgraph(ctx10, range(1, 1023))
-    mat = cyclotomic_numbers(ctx10)
-    for i in range(31):
-        for j in range(i + 1, 31):
-            assert g.multiplicity(i, j) == mat[i][j], (i, j)
     nbrs = sorted(c - 1 for c in g.neighbors(1) if c != 0)
     assert nbrs == [3, 6, 7, 12, 14, 15, 17, 19, 23, 24, 25, 27, 28, 29, 30]
+    # (i, j)_t counts the conjugate pairs between u_i and u_j once each,
+    # self-mirror cosets included
+    cases = list(_valid_cases(12))
+    tables = {}
+    for p, t in cases:
+        table = tables.setdefault(p, zech_bruteforce(p))
+        ctx = CycleCtx(p, t, zech=table)
+        g = build_subgraph(ctx, range(1, ctx.modulus))
+        mat = cyclotomic_numbers(ctx)
+        for i in range(t):
+            for j in range(i + 1, t):
+                assert g.multiplicity(i, j) == mat[i][j], (p, t, i, j)
+    assert len(cases) == 77
+
+
+def _state_level_graph(p, f):
+    """Oracle without Zech logarithms: label the cycles of the LFSR of f
+    by clocking it, and join the cycles of each even state v and v | 1."""
+    n = degree(f)
+    taps = f & ((1 << n) - 1)
+    label = [None] * (1 << n)
+    cycles = 0
+    for v in range(1 << n):
+        if label[v] is not None:
+            continue
+        while label[v] is None:
+            label[v] = cycles
+            v = (v >> 1) | (((v & taps).bit_count() & 1) << (n - 1))
+        cycles += 1
+    mult = Counter()
+    for v in range(0, 1 << n, 2):
+        a, b = label[v], label[v | 1]
+        if a != b:
+            mult[(min(a, b), max(a, b))] += 1
+    lap = [[0] * cycles for _ in range(cycles)]
+    for (a, b), m in mult.items():
+        lap[a][a] += m
+        lap[b][b] += m
+        lap[a][b] -= m
+        lap[b][a] -= m
+    return sorted(mult.values()), bareiss_determinant([row[1:] for row in lap[1:]])
+
+
+def test_full_subgraph_matches_state_level_oracle():
+    cases = list(_valid_cases(10))
+    tables = {}
+    for p, t in cases:
+        ctx = CycleCtx(p, t, zech=tables.setdefault(p, zech_bruteforce(p)))
+        g = build_subgraph(ctx, range(1, ctx.modulus))
+        mults, trees = _state_level_graph(p, ctx.f)
+        assert sorted(m for _u, _v, m in g.edges()) == mults, (p, t)
+        assert count_spanning_trees(g) == trees, (p, t)
+    assert len(cases) == 39
 
 
 def test_connected_subgraph_reaches_everything(ctx10):
@@ -142,9 +204,7 @@ def test_connected_subgraph_reaches_everything(ctx10):
 
 
 def test_coset_batches_resolve_each_coset_once(ctx10, monkeypatch):
-    # one lookup per coset reached, shared by its batch and its mirror
-    from zechbruijn.graph import _coset_batches
-
+    # one lookup per coset reached, shared by its pairs and its mirror
     zech = ctx10.zech
     calls = []
     resolve = zech.resolve
@@ -154,10 +214,10 @@ def test_coset_batches_resolve_each_coset_once(ctx10, monkeypatch):
         return resolve(k)
 
     monkeypatch.setattr(zech, "resolve", counting)
-    batches = list(_coset_batches(ctx10, range(1, ctx10.modulus)))
-    assert len(batches) == 51
+    cosets = list(graph_mod._coset_pairs(ctx10, range(1, ctx10.modulus)))
+    assert len(cosets) == 51
     assert len(calls) == len(set(calls)) == 55
-    assert all(b.tau_j == resolve(b.j) for b in batches)
+    assert all(pairs[0][1] == resolve(pairs[0][0]) for pairs in cosets)
     calls.clear()
     assert connected_subgraph(ctx10).unreached() == []
     assert len(calls) == len(set(calls))
@@ -351,20 +411,23 @@ def test_unreached_matches_networkx(case):
 
 def _ascending_walk_subgraph(ctx):
     """Oracle: the coset walk over every exponent j = 1, 2, ..., 2^n - 2,
-    with its own union-find over the cycle pairs of each batch."""
-    g = AdjSubgraph(ctx.t)
+    with its own union-find over the cycle pairs of each coset and a
+    power per pair for the state that ranks representatives."""
+    t = ctx.t
+    g = AdjSubgraph(t)
     g.add_zero_edge()
     parent = list(range(g.size))
     parent[0] = 1              # the zero edge joins [0] to u_0
     components = g.size - 1
-    batches = graph_mod._coset_batches(ctx, range(1, ctx.modulus))
+    cosets = graph_mod._coset_pairs(ctx, range(1, ctx.modulus))
     while components > 1:
-        batch = next(batches, None)
-        if batch is None:
+        pairs = next(cosets, None)
+        if pairs is None:
             break
-        g.add_batch(batch)
-        for ca, cb in batch.cycle_pairs():
-            ru, rv = graph_mod._find(parent, 1 + ca), graph_mod._find(parent, 1 + cb)
+        for a, b, m in pairs:
+            g.add_edge(a % t, b % t, m, rep=(min(a, b), max(a, b)),
+                       rep_weight=(exponent_to_state(ctx, a) >> 1).bit_count())
+            ru, rv = graph_mod._find(parent, 1 + a % t), graph_mod._find(parent, 1 + b % t)
             if ru != rv:
                 parent[ru] = rv
                 components -= 1

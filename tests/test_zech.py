@@ -353,6 +353,15 @@ def test_resolve_many_misses_exactly_where_resolve_raises(build):
     assert 0 < sum(v >= 0 for v in got) < len(ks)
 
 
+def test_resolve_many_reduces_exponents_outside_int64(zech10):
+    # resolve reduces any int mod 2^n - 1; the int64 batch path must too
+    assert zech10.resolve(2**70) == 77
+    assert zech10.resolve_many([2**70, -5]).tolist() == [zech10.resolve(2**70),
+                                                         zech10.resolve(-5)]
+    with pytest.raises(ValueError, match="undefined"):
+        zech10.resolve_many([2**70, 1023 * 2**70])
+
+
 def test_resolve_many_refuses_zero(zech10):
     for ks in ([3, 0], [1023], [5, -1023]):
         with pytest.raises(ValueError, match="undefined"):
