@@ -386,11 +386,15 @@ def seq_to_hex(bits):
 
     Left-pads with zero bits to whole bytes, packs, and keeps the last
     ceil(len/4) hex digits, so a length not divisible by 4 pads the
-    leading digit.
+    leading digit. A list goes through bytes, which skips numpy's int64
+    inference.
     """
     if not len(bits):
         return ""
-    arr = (np.asarray(bits) & 1).astype(np.uint8)
+    if isinstance(bits, list):
+        arr = np.frombuffer(bytes(bits), dtype=np.uint8) & 1
+    else:
+        arr = (np.asarray(bits) & 1).astype(np.uint8)
     pad = np.zeros(-len(arr) % 8, dtype=np.uint8)
     width = (len(arr) + 3) // 4
     return np.packbits(np.concatenate((pad, arr))).tobytes().hex()[-width:]

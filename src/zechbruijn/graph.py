@@ -4,8 +4,11 @@ Vertices are the zero cycle plus the t nonzero cycles; edge multiplicity
 between two cycles is the number of conjugate pairs they share. Spanning
 trees of this multigraph biject with the de Bruijn sequences the cycle
 joining method can produce, and their number is a cofactor of the
-degree-minus-adjacency matrix, computed here exactly with a fraction-free
-determinant over big integers.
+degree-minus-adjacency matrix. It is computed exactly over big integers
+by fraction-free elimination of the upper triangle in minimum-degree
+order, skipping the rows a step leaves unchanged but for scale. That
+matrix is positive semidefinite, so it needs no pivoting: a zero pivot
+means it is singular.
 """
 
 import json
@@ -34,34 +37,6 @@ def log2_int(x):
     if bl <= 512:
         return math.log2(x)
     return (bl - 64) + math.log2(x >> (bl - 64))
-
-
-def bareiss_determinant(mat):
-    """Exact determinant of an integer matrix (fraction-free Bareiss)."""
-    m = [list(map(int, row)) for row in mat]
-    k = len(m)
-    if k == 0:
-        return 1
-    prev = 1
-    sign = 1
-    for c in range(k - 1):
-        if m[c][c] == 0:
-            for r in range(c + 1, k):
-                if m[r][c]:
-                    m[c], m[r] = m[r], m[c]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = m[c][c]
-        for r in range(c + 1, k):
-            mr, mc = m[r], m[c]
-            lead = mr[c]
-            for cc in range(c + 1, k):
-                mr[cc] = (mr[cc] * pivot - lead * mc[cc]) // prev
-            mr[c] = 0
-        prev = pivot
-    return sign * m[k - 1][k - 1]
 
 
 class AdjSubgraph:
@@ -221,14 +196,74 @@ def build_subgraph(ctx, cosets):
     return g
 
 
+def _min_degree_order(k, mult):
+    """Vertices 1..k in greedy minimum-degree elimination order, ties by
+    index: each vertex taken joins its remaining neighbours into a clique."""
+    adj = {v: set() for v in range(1, k + 1)}
+    for u, v in mult:
+        if u:
+            adj[u].add(v)
+            adj[v].add(u)
+    order = []
+    while adj:
+        v = min(adj, key=lambda w: (len(adj[w]), w))
+        nbrs = adj.pop(v)
+        for w in nbrs:
+            adj[w] |= nbrs
+            adj[w] -= {v, w}
+        order.append(v)
+    return order
+
+
 def count_spanning_trees(g):
-    """Exact spanning-tree count: any cofactor of the Laplacian."""
-    lap = g.laplacian()
-    reduced = [row[1:] for row in lap[1:]]
-    det = bareiss_determinant(reduced)
-    if det < 0:
-        raise AssertionError("negative tree count")
-    return det
+    """Exact spanning-tree count: the determinant of the Laplacian with
+    vertex 0 removed.
+
+    Fraction-free (Bareiss) elimination on the upper triangle only, in
+    minimum-degree order. After step c every entry is a bordered minor,
+    so the trailing block stays symmetric and the lead of row r at step c
+    is entry (c, r). A row whose lead is 0 is only scaled by pivot/prev;
+    it is left alone, and when a later step needs it those factors
+    telescope to dets[now] / dets[then]. The reduced Laplacian is
+    positive semidefinite, so a zero pivot means a singular leading
+    minor and a singular matrix (a disconnected graph): no pivoting.
+    """
+    k = g.size - 1
+    pos = {v: i for i, v in enumerate(_min_degree_order(k, g.mult))}
+    rows = [[0] * (k - i) for i in range(k)]   # rows[i][j - i] is entry (i, j)
+    for (u, v), m in g.mult.items():
+        j = pos[v]
+        rows[j][0] += m
+        if u:
+            i = pos[u]
+            rows[i][0] += m
+            i, j = min(i, j), max(i, j)
+            rows[i][j - i] -= m
+    level = [0] * k    # elimination steps applied to each row
+    dets = [1]         # dets[c]: leading c x c minor, the divisor at step c
+
+    def current(r, c):
+        """Row r at level c: the steps it skipped only scaled it."""
+        if level[r] < c:
+            now, then = dets[c], dets[level[r]]
+            rows[r] = [x * now // then for x in rows[r]]
+            level[r] = c
+        return rows[r]
+
+    for c in range(k):
+        row = current(c, c)
+        pivot, prev = row[0], dets[c]
+        if pivot == 0:
+            return 0
+        for j in range(1, k - c):
+            lead = row[j]
+            if lead:
+                r = c + j
+                rows[r] = [(x * pivot - lead * y) // prev
+                           for x, y in zip(current(r, c), row[j:])]
+                level[r] = c + 1
+        dets.append(pivot)
+    return dets[k]
 
 
 def connected_subgraph(ctx):

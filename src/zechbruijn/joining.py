@@ -4,17 +4,21 @@ product-of-irreducibles extension.
 Exchanging the successors of a conjugate pair adds the product term
 prod_{i=1..n-1} (x_i + v_i + 1) to the feedback function; a spanning tree
 of the adjacency graph therefore determines both the joined NLFSR (as an
-explicit ANF) and its de Bruijn output. Generation itself never expands
-the ANF: each product term fires on exactly one register tail, so a tail
-lookup patches the linear feedback in O(1) per clock.
+explicit ANF) and its de Bruijn output. Generation never expands the ANF:
+the joined sequence is spliced from slices of the m-sequence, and the
+register clocked with one tail patch per pair (`patched_lfsr_bits`)
+serves stream output.
 """
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .cycles import exponent_to_state, state_to_exponent
-from .gf2poly import degree, lfsr_taps, poly_mul
+from .gf2poly import degree, lfsr_taps, mseq_states, poly_mul
 
 
 class Anf:
@@ -116,7 +120,7 @@ def pair_product(n, state):
 
     Expands to one monomial per subset of the tail's zero positions; a
     sparse tail is therefore exponentially wide, which is why generation
-    uses tail patching instead.
+    splices the m-sequence and `NlfsrFeedback` keeps the tails instead.
     """
     ones = 0
     zeros = 0
@@ -245,16 +249,65 @@ MATERIALIZE_CAP = 26
 
 def generate_debruijn(ctx, tree):
     """Joined de Bruijn sequence for a spanning tree of ctx's graph: the
-    full 2^n bits from state 0^n, via the tail-patch fast path (n at most
-    MATERIALIZE_CAP)."""
+    full 2^n bits from state 0^n (n at most MATERIALIZE_CAP).
+
+    Spliced from slices of the m-sequence s of p counted from ctx.seed,
+    not clocked: cycle u_i is s[i::t], and phi(k) sits on cycle k mod t
+    at offset k // t. A tree pair (a, tau(a)) exchanges the successors of
+    phi(a) and phi(a) ^ 1 = phi(tau(a)), so after exponent a the walk goes
+    on at tau(a) + t, and after tau(a) at a + t. The zero edge exchanges
+    those of 0^n and phi(0): the walk emits the 0 of 0^n, goes on at
+    exponent t and stops after exponent 0.
+    """
     tree.validate()
-    n = ctx.n
+    n, t, M = ctx.n, ctx.t, ctx.modulus
     if n > MATERIALIZE_CAP:
         raise ValueError(f"refusing to materialize 2^{n} bits (cap {MATERIALIZE_CAP})")
-    out, final = patched_lfsr_bits(ctx.f, _tree_tails(ctx, tree), 0, 1 << n)
-    if final != 0:
+    states = mseq_states(ctx.p)
+    start = int(np.flatnonzero(states == ctx.seed)[0])
+    bits = states.astype(np.uint8)
+    del states
+    bits &= 1
+    s = np.roll(bits, -start)
+    del bits
+    pairs = []
+    zero_edges = 0
+    for ci, cj, rep in tree.edges:
+        if rep is None:
+            raise ValueError("tree edge carries no representative pair")
+        if ci is None or cj is None:
+            zero_edges += 1
+        else:
+            pairs.append((rep[0] % M, rep[1] % M))
+    windows = s[(np.array(pairs, dtype=np.int64).reshape(-1, 2, 1) + t * np.arange(n)) % M]
+    diff = windows[:, 0] ^ windows[:, 1]
+    if (diff[:, 0] != 1).any() or diff[:, 1:].any():
+        raise ValueError("a tree edge's pair is not a conjugate pair")
+    jump = {0: None}   # exponent -> exponent the walk goes on at; None: 0^n
+    for a, b in pairs:
+        jump[a] = (b + t) % M
+        jump[b] = (a + t) % M
+    if zero_edges != 1 or len(jump) != 1 + 2 * len(pairs):
         raise ValueError("tree did not join all cycles into one")
-    return out
+    switches = [[] for _ in range(t)]   # sorted offsets of each cycle's switch points
+    for k in sorted(jump):
+        switches[k % t].append(k // t)
+    pieces = [np.zeros(1, dtype=np.uint8)]
+    k = t % M
+    while k is not None:
+        c, o = k % t, k // t
+        cycle, offs = s[c::t], switches[c]
+        i = bisect.bisect_left(offs, o)
+        if i == len(offs):
+            pieces.append(cycle[o:])
+            o, i = 0, 0
+        pieces.append(cycle[o:offs[i] + 1])
+        k = jump[c + t * offs[i]]
+    out = np.concatenate(pieces)
+    del s, pieces
+    if len(out) != 1 << n:
+        raise ValueError("tree did not join all cycles into one")
+    return out.tolist()
 
 
 def anf_stream(anf, state):

@@ -18,6 +18,35 @@ def decimate(bits, d, shift=0):
     return [bits[(shift + d * i) % N] for i in range(N // math.gcd(d, N))]
 
 
+def bareiss_determinant(mat):
+    """Oracle: exact determinant of an integer matrix by dense
+    fraction-free (Bareiss) elimination with row swaps."""
+    m = [list(map(int, row)) for row in mat]
+    k = len(m)
+    if k == 0:
+        return 1
+    prev = 1
+    sign = 1
+    for c in range(k - 1):
+        if m[c][c] == 0:
+            for r in range(c + 1, k):
+                if m[r][c]:
+                    m[c], m[r] = m[r], m[c]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        pivot = m[c][c]
+        for r in range(c + 1, k):
+            mr, mc = m[r], m[c]
+            lead = mr[c]
+            for cc in range(c + 1, k):
+                mr[cc] = (mr[cc] * pivot - lead * mc[cc]) // prev
+            mr[c] = 0
+        prev = pivot
+    return sign * m[k - 1][k - 1]
+
+
 @pytest.fixture(scope="session")
 def zech4():
     return zech_bruteforce(P4)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import sys
@@ -130,6 +131,18 @@ def test_debruijn_hex_output(capsys):
     code, out, _err = run(capsys, "debruijn", "--p", "n=4;{1}", "--t", "3",
                           "--format", "hex")
     assert code == 0 and out.strip() == "16 0a7b"
+
+
+def test_debruijn_order16_output_is_pinned(tmp_path, capsys):
+    # the join benchmark's call: tree count, feedback and 2^16-bit hex
+    out_file = tmp_path / "join16.txt"
+    code, out, err = run(capsys, "debruijn", "--p", "n=16;{5,3,2}", "--t", "85",
+                         "--out", str(out_file))
+    assert (code, out, err) == (0, "", "")
+    data = out_file.read_bytes()
+    assert len(data) == 19106
+    assert hashlib.sha256(data).hexdigest() == (
+        "eec492f33426557a178723076dcabbfcbfbecc2eb5fb5db32e1c3e66442b48ea")
 
 
 def test_certify_almost_star(capsys):

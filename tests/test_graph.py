@@ -28,10 +28,10 @@ from zechbruijn import (
 from zechbruijn import graph as graph_mod
 from zechbruijn.cycles import primitive_polynomials
 from zechbruijn.gf2poly import degree
-from zechbruijn.graph import TreeCert, bareiss_determinant, log2_int
+from zechbruijn.graph import TreeCert, log2_int
 from zechbruijn.zech import MissingEntryError, doubling_orbit
 
-from conftest import P5, P10, P20
+from conftest import P5, P10, P20, bareiss_determinant
 
 
 def test_log2_int():
@@ -389,7 +389,8 @@ _multigraphs = st.integers(1, 9).flatmap(lambda t: st.tuples(
 @settings(max_examples=300, deadline=None)
 @given(_multigraphs)
 def test_unreached_matches_networkx(case):
-    # the union-find is kept up to date: check it after every edge
+    # the union-find is kept up to date: check it after every edge; the
+    # tree count of the final graph matches dense Bareiss and networkx
     t, edges = case
     g = AdjSubgraph(t)
     ref = nx.MultiGraph()
@@ -407,6 +408,11 @@ def test_unreached_matches_networkx(case):
             g.add_edge(None if u == 0 else u - 1, None if v == 0 else v - 1, m)
             ref.add_edges_from([(u, v)] * m)
             check()
+    lap = g.laplacian()
+    count = count_spanning_trees(g)
+    assert count == bareiss_determinant([row[1:] for row in lap[1:]])
+    if count < 1 << 50:
+        assert count == round(nx.number_of_spanning_trees(ref))
 
 
 def _ascending_walk_subgraph(ctx):

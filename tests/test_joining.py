@@ -12,6 +12,7 @@ from zechbruijn import (
     ProductCtx,
     anf_bits,
     anf_stream,
+    associated_irreducible,
     build_subgraph,
     deterministic_spanning_tree,
     exponent_to_state,
@@ -29,6 +30,7 @@ from zechbruijn import (
     tree_feedback,
     zech_bruteforce,
 )
+from zechbruijn.cycles import primitive_polynomials
 from zechbruijn.gf2poly import lfsr_step, lfsr_taps, state_from_bits
 from zechbruijn.graph import SpanningTree
 
@@ -127,6 +129,42 @@ def test_generate_debruijn_rejects_nontree(ctx4):
     bad = SpanningTree(3, [(None, 0, (0, 0)), (0, 1, (6, 13)), (0, 1, (9, 7))])
     with pytest.raises(ValueError):
         generate_debruijn(ctx4, bad)
+
+
+def test_generate_debruijn_matches_clocked_register():
+    # the splice against the register clocked with the tree's tail patches:
+    # 2 primitive p per n = 2..8, every valid t (t = 1 included), the
+    # deterministic tree and 2 sampled trees of the full graph
+    checked = 0
+    for n in range(2, 9):
+        M = (1 << n) - 1
+        for p in islice(primitive_polynomials(n), 2):
+            table = zech_bruteforce(p)
+            for t in range(1, M):
+                if M % t or not associated_irreducible(p, t)[1]:
+                    continue
+                ctx = CycleCtx(p, t, zech=table)
+                g = build_subgraph(ctx, range(1, M))
+                trees = [deterministic_spanning_tree(g)]
+                trees += [sample_spanning_tree(g, seed=seed) for seed in (1, 2)]
+                for tree in trees:
+                    tails = tree_feedback(ctx, tree).tails
+                    want = patched_lfsr_bits(ctx.f, tails, 0, 1 << n)[0]
+                    assert generate_debruijn(ctx, tree) == want, (p, t, tree.edges)
+                    checked += 1
+    assert checked == 75
+
+
+def test_generate_debruijn_rejects_trees_the_register_cannot_join(ctx4):
+    # trees that validate by their cycle labels alone: (6, 16) is not a
+    # conjugate pair, and a second zero edge cancels the first (the
+    # clocked register then stays at 0^n and gave 2^n zeros)
+    star = [(None, 0, (0, 0)), (0, 2, (3, 14))]
+    for bad, message in [(star + [(0, 1, (6, 16))], "not a conjugate pair"),
+                         (star + [(None, 1, (0, 0))], "did not join")]:
+        SpanningTree(3, bad).validate()
+        with pytest.raises(ValueError, match=message):
+            generate_debruijn(ctx4, SpanningTree(3, bad))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
